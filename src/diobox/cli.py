@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 solved with a nonnegative witness (or the command simply
-succeeded), 1 integer-feasible only, 2 integer infeasible, 3 input error.
+succeeded), 1 integer-feasible only, 2 integer infeasible, 3 input error,
+4 internal error.
 All file input and output is UTF-8 JSON with numeric entries as decimal
 strings; see the io module for the exact shape.
 """
@@ -20,15 +21,21 @@ from .cone import (
     ConditionReport,
     aliev_henk_p,
     aliev_henk_t_bound,
-    deep_cone_condition,
     max_col_norm_squared,
     shifted_cone_condition_m2,
 )
-from .errors import CapExceededError, DioboxError
+from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
 from .gen import MODES, generate_instance
-from .linalg import det_exact, gcd_max_minors
-from .solver import ProblemInstance, SolveStatus, basis_partition, solve, verify
+from .solver import (
+    BasisPartition,
+    Conditions,
+    ProblemInstance,
+    SolveStatus,
+    conditions,
+    solve_with_conditions,
+    verify,
+)
 
 _EXIT = {
     SolveStatus.NONNEGATIVE: 0,
@@ -71,8 +78,7 @@ def _frobenius_section(inst: ProblemInstance) -> dict:
     return {"G": None, "applies": False}
 
 
-def _shifted_section(inst: ProblemInstance) -> dict:
-    part = basis_partition(inst)
+def _shifted_section(inst: ProblemInstance, part: BasisPartition) -> dict:
     rep = shifted_cone_condition_m2(inst.a, part.b_mat, part.n_mat, inst.b)
     if rep is None:
         return {"applicable": False, "holds": None}
@@ -83,25 +89,21 @@ def _shifted_section(inst: ProblemInstance) -> dict:
     }
 
 
-def _condition_sections(inst: ProblemInstance) -> dict:
-    part = basis_partition(inst)
-    rep = deep_cone_condition(
-        part.b_mat, part.n_mat, gcd_max_minors(inst.a), inst.b
-    )
-    out = {"deep_cone": _report_obj(rep)}
+def _condition_sections(inst: ProblemInstance, cond: Conditions) -> dict:
+    out = {"deep_cone": _report_obj(cond.report)}
     if inst.a.rows == 1:
         out["frobenius"] = _frobenius_section(inst)
     if inst.a.rows == 2:
-        out["shifted_cone"] = _shifted_section(inst)
+        out["shifted_cone"] = _shifted_section(inst, cond.partition)
     return out
 
 
-def _result_obj(inst, outcome, elapsed) -> dict:
+def _result_obj(inst, outcome, cond, elapsed) -> dict:
     obj = {
         "status": outcome.status.value,
         "x": None if outcome.x is None else [str(e) for e in outcome.x],
     }
-    obj.update(_condition_sections(inst))
+    obj.update(_condition_sections(inst, cond))
     if elapsed is not None:
         obj["timing"] = {"seconds": round(elapsed, 6)}
     return obj
@@ -114,12 +116,22 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _failure(exc: Exception, where: str = "") -> int:
+    """Print one line for an exception that ended a command; return the exit
+    code: 3 for bad input, 4 for an internal error or any other exception."""
+    if isinstance(exc, DioboxError) and not isinstance(exc, InternalError):
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 3
+    print(f"internal error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
+    return 4
+
+
 def _solve_single(path: str, output: str | None, with_timing: bool) -> int:
     inst = iomod.load_instance(path)
     t0 = time.monotonic()
-    outcome = solve(inst)
+    outcome, cond = solve_with_conditions(inst)
     elapsed = time.monotonic() - t0 if with_timing else None
-    _emit(iomod.dumps_canonical(_result_obj(inst, outcome, elapsed)), output)
+    _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
     return _EXIT[outcome.status]
 
 
@@ -130,23 +142,24 @@ def cmd_solve(args) -> int:
             for f in os.listdir(args.batch)
             if f.endswith(".json") and not f.endswith(".result.json")
         )
-        failures = 0
+        failures, code = 0, 0
         for name in names:
             src = os.path.join(args.batch, name)
             dst = os.path.join(args.batch, name[: -len(".json")] + ".result.json")
             try:
                 _solve_single(src, dst, not args.no_timing)
-            except DioboxError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+            except Exception as exc:  # one bad file must not end the batch
+                # name the file, unless the message already starts with it
+                code = max(code, _failure(exc, "" if str(exc).startswith(src) else f"{src}: "))
                 failures += 1
         print(f"{len(names)} file(s), {failures} failure(s)", file=sys.stderr)
-        return 0 if failures == 0 else 3
+        return code
     return _solve_single(args.instance, args.output, not args.no_timing)
 
 
 def cmd_check(args) -> int:
     inst = iomod.load_instance(args.instance)
-    obj = _condition_sections(inst)
+    obj = _condition_sections(inst, conditions(inst))
     obj["projection_bound"] = {"approx": True, "value": aliev_henk_t_bound(inst.a)}
     _emit(iomod.dumps_canonical(obj), args.output)
     return 0
@@ -197,20 +210,16 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     inst = iomod.load_instance(args.instance)
-    part = basis_partition(inst)
-    det_b = det_exact(part.b_mat)
-    gcd_a = gcd_max_minors(inst.a)
-    ratio = Fraction(abs(det_b), gcd_a)
-    ln_sq = max_col_norm_squared(part.n_mat)
-    lb_sq = max_col_norm_squared(part.b_mat)
-    t_sq = ln_sq * (ratio - 1) ** 2
+    cond = conditions(inst)
+    part = cond.partition
+    t_sq = cond.report.threshold_squared
     obj = {
         "basis_cols": [c + 1 for c in part.basis_cols],
-        "det_b": str(det_b),
-        "gcd": str(gcd_a),
-        "lattice_determinant": str(ratio),
-        "l_b_squared": str(lb_sq),
-        "l_n_squared": str(ln_sq),
+        "det_b": str(part.det),
+        "gcd": str(cond.gcd),
+        "lattice_determinant": str(Fraction(abs(part.det), cond.gcd)),
+        "l_b_squared": str(max_col_norm_squared(part.b_mat)),
+        "l_n_squared": str(max_col_norm_squared(part.n_mat)),
         "deep_threshold_squared": str(t_sq),
         "deep_threshold": {"approx": True, "value": math.sqrt(float(t_sq))},
         "projection_bound": {"approx": True, "value": aliev_henk_t_bound(inst.a)},
@@ -218,7 +227,7 @@ def cmd_bounds(args) -> int:
         "hermite_constant_threshold": "not evaluated",
     }
     if inst.a.rows == 2:
-        shifted = _shifted_section(inst)
+        shifted = _shifted_section(inst, part)
         if shifted["applicable"]:
             obj["shift_squared"] = shifted["shift_squared"]
     _emit(iomod.dumps_canonical(obj), args.output)
@@ -284,9 +293,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DioboxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:  # every failure leaves with an exit code and one line
+        return _failure(exc)
 
 
 if __name__ == "__main__":

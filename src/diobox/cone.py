@@ -2,8 +2,9 @@
 
 For a nonsingular integer matrix B the cone C_B is the set of nonnegative
 real combinations of its columns. Membership and "distance at least t from
-every facet" are decided exactly by comparing squared rationals, so no
-square root is ever taken on the decision path. The only float in this
+every facet" are decided exactly by comparing squares of integers built
+from the adjugate of B, so no square root is ever taken on the decision
+path; rationals appear only in the reports. The only float in this
 module is the explicitly approximate diagnostic bound at the bottom.
 """
 
@@ -17,10 +18,10 @@ from typing import Sequence
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
-    SingularError,
     WrongRowCountError,
+    require,
 )
-from .linalg import IntMat, det_exact, dot, inverse_rational, solve_rational
+from .linalg import IntMat, adjugate, det_exact, dot
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,25 @@ def max_col_norm_squared(mat: IntMat) -> int:
     return max(sum(e * e for e in mat.col(j)) for j in range(mat.cols))
 
 
+def cone_coords(
+    det: int, adj: Sequence[Sequence[int]], point: Sequence[int]
+) -> tuple[int, ...]:
+    """``|det B| * B^-1 point`` from ``(det, adj) = adjugate(B)``.
+
+    The sign of ``det`` is folded in, so coordinate i is nonnegative exactly
+    when ``point`` is on the inner side of facet i of C_B.
+    """
+    return tuple(dot(row, point) if det > 0 else -dot(row, point) for row in adj)
+
+
 def in_cone(b_mat: IntMat, point: Sequence[int]) -> bool:
     """Whether ``point`` lies in the cone spanned by the columns of ``b_mat``.
 
     Raises:
         SingularError: if ``b_mat`` is singular (the cone is not simplicial).
     """
-    if det_exact(b_mat) == 0:
-        raise SingularError("cone matrix is singular")
-    return all(c >= 0 for c in solve_rational(b_mat, point))
+    det, adj = adjugate(b_mat)
+    return all(c >= 0 for c in cone_coords(det, adj, point))
 
 
 def deep_cone_condition(
@@ -75,9 +86,9 @@ def deep_cone_condition(
     ``(B^-1 x)_i / ||row_i(B^-1)||`` to the i-th facet hyperplane, because
     that facet is ``{y : (B^-1 y)_i = 0}`` with normal row_i(B^-1). So x is
     at depth t iff for every i: ``(B^-1 x)_i >= 0`` and
-    ``(B^-1 x)_i^2 >= t^2 * ||row_i(B^-1)||^2``, which compares pure
-    rationals. When the report holds for a right-hand side that is integer
-    feasible, the solver's box-reduced point is guaranteed nonnegative.
+    ``(B^-1 x)_i^2 >= t^2 * ||row_i(B^-1)||^2``. When the report holds for a
+    right-hand side that is integer feasible, the solver's box-reduced point
+    is guaranteed nonnegative.
 
     Raises:
         SingularError: if ``b_mat`` is singular.
@@ -85,33 +96,29 @@ def deep_cone_condition(
     """
     if gcd_a < 1:
         raise ValueError(f"gcd must be a positive integer, got {gcd_a}")
-    det = det_exact(b_mat)
-    if det == 0:
-        raise SingularError("basis block is singular")
+    det, adj = adjugate(b_mat)
     if b_mat.rows != n_mat.rows:
         raise DimensionMismatchError(
             f"basis block has {b_mat.rows} rows, remaining block {n_mat.rows}"
         )
-    ratio = Fraction(abs(det), gcd_a)
-    ln_sq = max_col_norm_squared(n_mat)
-    t_sq = ln_sq * (ratio - 1) ** 2
-    binv = inverse_rational(b_mat)
-    coords = tuple(dot(row, rhs) for row in binv)
-    checks = []
-    for i, (p, row) in enumerate(zip(coords, binv)):
-        checks.append(
-            FacetCheck(
-                facet=i,
-                lhs_squared=p * p,
-                rhs_squared=t_sq * dot(row, row),
-                lhs_nonnegative=p >= 0,
-            )
-        )
-    return ConditionReport(
-        holds=all(c.satisfied for c in checks),
-        threshold_squared=t_sq,
-        facets=tuple(checks),
-    )
+    return deep_cone_report(det, adj, n_mat, gcd_a, rhs)
+
+
+def deep_cone_report(
+    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, gcd_a: int, rhs: Sequence[int]
+) -> ConditionReport:
+    """``deep_cone_condition`` from ``(det, adj) = adjugate(B)``.
+
+    With B^-1 = adj / det, g = gcd_a and D = |det|, facet i holds iff
+    ``p_i >= 0`` and ``g^2 p_i^2 >= l_N^2 (D - g)^2 ||adj_i||^2`` for
+    ``p = D B^-1 rhs``: a comparison of integers.
+    """
+    d = abs(det)
+    scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2  # (g t)^2
+    g_sq = gcd_a * gcd_a
+    norms = [scale * dot(row, row) for row in adj]
+    coords = cone_coords(det, adj, rhs)
+    return _facet_report(coords, d, norms, g_sq * d * d, Fraction(scale, g_sq))
 
 
 def shifted_cone_condition_m2(
@@ -126,7 +133,8 @@ def shifted_cone_condition_m2(
     in C_B is decided facet by facet on squares: with c = (|det B|-1)/|det B|
     * (B^-1 v), facet i requires ``(B^-1 rhs)_i >= l_B*l_N*c_i``, compared as
     ``lhs >= 0`` and ``lhs^2 >= l_B^2*l_N^2*c_i^2`` (c_i >= 0 once the cone
-    equality holds).
+    equality holds). With D = |det B|, ``p = D B^-1 rhs`` and
+    ``q = D B^-1 v`` that is ``D^2 p_i^2 >= l_B^2 l_N^2 (D - 1)^2 q_i^2``.
 
     Raises:
         WrongRowCountError: if the system does not have exactly two rows.
@@ -134,38 +142,29 @@ def shifted_cone_condition_m2(
     """
     if a_mat.rows != 2:
         raise WrongRowCountError(f"shifted-cone test needs 2 rows, got {a_mat.rows}")
-    det = det_exact(b_mat)
-    if det == 0:
-        raise SingularError("basis block is singular")
-    binv = inverse_rational(b_mat)
+    det, adj = adjugate(b_mat)
     for j in range(n_mat.cols):
-        col = n_mat.col(j)
-        if any(dot(row, col) < 0 for row in binv):
+        if any(c < 0 for c in cone_coords(det, adj, n_mat.col(j))):
             return None
-    v = tuple(sum(a_mat.row(i)) for i in range(2))
-    lb_sq = max_col_norm_squared(b_mat)
-    ln_sq = max_col_norm_squared(n_mat)
-    factor = Fraction(abs(det) - 1, abs(det))
-    shift_sq = lb_sq * ln_sq * factor * factor
-    coords = tuple(dot(row, rhs) for row in binv)
-    vcoords = tuple(dot(row, v) for row in binv)
-    checks = []
-    for i in range(2):
-        p = coords[i]
-        c = factor * vcoords[i]
-        assert c >= 0
-        checks.append(
-            FacetCheck(
-                facet=i,
-                lhs_squared=p * p,
-                rhs_squared=lb_sq * ln_sq * c * c,
-                lhs_nonnegative=p >= 0,
-            )
-        )
+    q = cone_coords(det, adj, tuple(sum(a_mat.row(i)) for i in range(2)))
+    require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (a_mat, rhs))
+    d = abs(det)
+    scale = max_col_norm_squared(b_mat) * max_col_norm_squared(n_mat) * (d - 1) ** 2
+    norms = [scale * c * c for c in q]
+    return _facet_report(cone_coords(det, adj, rhs), d, norms, d**4, Fraction(scale, d * d))
+
+
+def _facet_report(coords, d: int, nums, den: int, threshold: Fraction) -> ConditionReport:
+    # facet i holds iff coords[i] / d >= 0 and (coords[i] / d)^2 >= nums[i] / den,
+    # decided on integers; the Fractions are only the report fields
+    d_sq = d * d
     return ConditionReport(
-        holds=all(c.satisfied for c in checks),
-        threshold_squared=shift_sq,
-        facets=tuple(checks),
+        holds=all(p >= 0 and p * p * den >= r * d_sq for p, r in zip(coords, nums)),
+        threshold_squared=threshold,
+        facets=tuple(
+            FacetCheck(i, Fraction(p * p, d_sq), Fraction(r, den), p >= 0)
+            for i, (p, r) in enumerate(zip(coords, nums))
+        ),
     )
 
 

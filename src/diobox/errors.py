@@ -43,3 +43,18 @@ class GenerationFailedError(DioboxError):
 
 class InstanceFormatError(DioboxError):
     """An instance or result file could not be parsed."""
+
+
+class InternalError(DioboxError):
+    """A guarantee of the code itself failed: a bug, not bad input.
+    ``instance`` holds the input that exposed it."""
+
+    def __init__(self, message: str, instance=None):
+        super().__init__(message)
+        self.instance = instance
+
+
+def require(ok: bool, message: str, instance=None) -> None:
+    """Raise ``InternalError`` unless ``ok``; unlike ``assert``, this stays under ``-O``."""
+    if not ok:
+        raise InternalError(message, instance)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
 
-from .cone import deep_cone_condition, max_col_norm_squared
-from .errors import GenerationFailedError
-from .linalg import IntMat, det_exact, dot, gcd_max_minors, inverse_rational
+from .cone import cone_coords, deep_cone_report, max_col_norm_squared
+from .errors import GenerationFailedError, require
+from .linalg import IntMat, adjugate, det_exact, dot, gcd_max_minors
 from .solver import ProblemInstance
 
 MODES = ("feasible", "deep", "boundary")
@@ -16,47 +16,34 @@ _RETRIES = 1000
 _COEFF_RANGE = 5
 
 
-def _min_shift(p: Fraction, target_sq: Fraction) -> int:
-    # smallest integer k >= 0 with p + k >= 0 and (p + k)^2 >= target_sq,
-    # found by doubling then bisecting on the exact predicate
-    def ok(k: int) -> bool:
-        v = p + k
-        return v >= 0 and v * v >= target_sq
-
-    if ok(0):
-        return 0
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def push_into_deep_cone(a_mat: IntMat, b: tuple[int, ...]) -> tuple[int, ...]:
     """Translate b along basis columns until the deep-cone test holds.
 
     Uses the leading m columns as the basis block and adds B k for the
     componentwise-minimal nonnegative integer vector k; every facet margin
-    grows by exactly k_i, so the minimal k per facet is found directly.
+    grows by exactly k_i, so the minimal k per facet is found directly. In
+    the integers of ``deep_cone_report`` (p_i = D (B^-1 b)_i, D = |det B|,
+    g the gcd), facet i needs ``g (p_i + k_i D) >= r_i`` with ``r_i`` the
+    ceiling of ``sqrt(l_N^2 (D - g)^2 ||adj_i||^2)``.
     """
     m = a_mat.rows
     b_mat = a_mat.select_cols(range(m))
     n_mat = a_mat.select_cols(range(m, a_mat.cols))
     gcd_a = gcd_max_minors(a_mat)
-    ratio = Fraction(abs(det_exact(b_mat)), gcd_a)
-    t_sq = max_col_norm_squared(n_mat) * (ratio - 1) ** 2
-    binv = inverse_rational(b_mat)
-    shift = [
-        _min_shift(dot(row, b), t_sq * dot(row, row)) for row in binv
-    ]
+    det, adj = adjugate(b_mat)
+    d = abs(det)
+    scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2
+    shift = []
+    for p, row in zip(cone_coords(det, adj, b), adj):
+        v = scale * dot(row, row)
+        r = math.isqrt(v - 1) + 1 if v else 0  # ceil(sqrt(v))
+        shift.append(max(0, -((gcd_a * p - r) // (gcd_a * d))))
     out = tuple(e + dot(row, shift) for e, row in zip(b, b_mat))
-    assert deep_cone_condition(b_mat, n_mat, gcd_a, out).holds
+    require(
+        deep_cone_report(det, adj, n_mat, gcd_a, out).holds,
+        "deep-cone push: the shifted right-hand side fails the test",
+        (a_mat, b),
+    )
     return out
 
 

@@ -13,7 +13,7 @@ import json
 import re
 from typing import Any
 
-from .errors import InstanceFormatError
+from .errors import DioboxError, InstanceFormatError
 from .linalg import IntMat
 from .solver import ProblemInstance
 
@@ -26,8 +26,22 @@ def parse_int(value: Any, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter's int/str digit limit
+            raise InstanceFormatError(
+                f"{where}: integer of {len(value)} characters is over Python's digit limit"
+            ) from None
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {value!r}")
+
+
+def _json_int(text: str) -> int | str:
+    # a JSON integer literal over the digit limit stays a string, for
+    # parse_int to report with the field it sits in
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _as_list(value: Any, where: str) -> list:
@@ -93,6 +107,20 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _read_json(path: str) -> Any:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_json_int)
+    except OSError as exc:
+        raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8: {exc.reason}") from exc
+
+
 def load_instance(path: str) -> ProblemInstance:
     """Parse an instance file.
 
@@ -100,17 +128,7 @@ def load_instance(path: str) -> ProblemInstance:
         InstanceFormatError: on malformed JSON (with line and column) or on
             any schema violation (with the field name).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    obj = _read_json(path)
     try:
         return obj_to_instance(obj)
     except InstanceFormatError as exc:
@@ -118,21 +136,16 @@ def load_instance(path: str) -> ProblemInstance:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # an unwritable output path is bad usage, exit 3
+        raise DioboxError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def load_result_x(path: str) -> tuple[int, ...] | None:
     """Extract the witness vector from a result file (None when absent)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{path}: result must be an object")
     x = obj.get("x")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatchError, RankDeficientError, SingularError
-from .linalg import IntMat, dot, hnf_column
+from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
+from .linalg import HnfResult, IntMat, dot, hnf_column
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,31 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
         RankDeficientError: if the rows of ``mat`` are linearly dependent.
         DimensionMismatchError: if ``rhs`` has the wrong length.
     """
+    if len(rhs) != mat.rows:
+        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
+    return solution_set_from_hnf(mat, hnf_column(mat), rhs)
+
+
+def solution_set_from_hnf(
+    mat: IntMat, res: HnfResult, rhs: Sequence[int]
+) -> AffineLatticeRep | None:
+    """``integer_solution_set`` given ``res = hnf_column(mat)``."""
     m, n = mat.rows, mat.cols
-    if len(rhs) != m:
-        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {m}")
-    res = hnf_column(mat)
     h, u = res.h, res.u
-    y: list[Fraction] = []
+    y: list[int] = []
     for i in range(m):
-        acc = Fraction(rhs[i])
-        for j in range(i):
-            acc -= h[i][j] * y[j]
-        yi = acc / h[i][i]
-        if yi.denominator != 1:
+        acc = rhs[i] - sum(h[i][j] * y[j] for j in range(i))
+        yi, rem = divmod(acc, h[i][i])
+        if rem:
             return None
         y.append(yi)
-    coeffs = [int(v) for v in y] + [0] * (n - m)
-    particular = u.mul_vec(coeffs)
+    particular = u.mul_vec(y + [0] * (n - m))
+    require(
+        mat.mul_vec(particular) == tuple(rhs),
+        "particular solution fails mat @ x = rhs",
+        (mat, rhs),
+    )
     kernel = tuple(u.col(j) for j in range(m, n))
-    assert mat.mul_vec(particular) == tuple(rhs)
     return AffineLatticeRep(tuple(particular), kernel)
 
 
@@ -109,10 +116,12 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
         raise SingularError("basis vectors are linearly dependent") from exc
     hrow = res.h.transpose()
     out = tuple(tuple(hrow[d - 1 - i][::-1]) for i in range(d))
-    for i in range(d):
-        assert out[i][i] > 0
-        assert all(out[i][j] == 0 for j in range(i + 1, d))
-        assert all(0 <= out[i][j] < out[j][j] for j in range(i))
+    for i, v in enumerate(out):
+        require(
+            v[i] > 0 and not any(v[i + 1 :]) and all(0 <= v[j] < out[j][j] for j in range(i)),
+            "special basis is not reduced lower triangular",
+            vecs,
+        )
     return SpecialBasis(out)
 
 

@@ -1,12 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision ``int`` and on
-``fractions.Fraction``. There is no floating point and no tolerance in this
-module; equality means equality.
+Everything here runs on Python's arbitrary-precision ``int``: the column
+Hermite normal form, and one fraction-free elimination behind determinants,
+rank profiles, adjugates and linear solves. ``fractions.Fraction`` appears
+only in the value ``solve_rational`` returns. There is no floating point and
+no tolerance in this module; equality means equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -131,6 +134,13 @@ class HnfResult:
     h: IntMat
     u: IntMat
 
+    @property
+    def minors_gcd(self) -> int:
+        """gcd of the maximal minors of the input: unimodular column
+        operations keep it, and for the staircase ``h`` it is the product of
+        the pivots. Column order does not change it either."""
+        return math.prod(self.h[i][i] for i in range(self.h.rows))
+
 
 def hnf_column(mat: IntMat) -> HnfResult:
     """Column-style Hermite normal form with its unimodular transform.
@@ -184,6 +194,40 @@ def hnf_column(mat: IntMat) -> HnfResult:
     return HnfResult(IntMat(h), IntMat(u))
 
 
+def _eliminate(a: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) forward elimination of ``a = [M | R]``, in place.
+
+    Pivots come from the first ``width`` columns (M), left to right; R is
+    carried along. Every entry stays an integer minor, so each division by
+    the previous pivot is exact (Sylvester's identity), and the pivot of
+    row k is a minor of order k + 1 on the pivot columns. Returns the pivot
+    columns, the leftmost independent columns of M, and the sign of the
+    row permutation.
+    """
+    rows, total = len(a), len(a[0])
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == rows:
+            break
+        if not a[r][c]:
+            p = next((i for i in range(r + 1, rows) if a[i][c]), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        pv = top[c]
+        for row in a[r + 1 :]:
+            f, row[c] = row[c], 0
+            for j in range(c + 1, total):
+                row[j] = (row[j] * pv - f * top[j]) // prev
+        prev = pv
+        pivots.append(c)
+    return pivots, sign
+
+
 def det_exact(mat: IntMat) -> int:
     """Determinant by fraction-free (Bareiss) elimination.
 
@@ -192,45 +236,61 @@ def det_exact(mat: IntMat) -> int:
     """
     if mat.rows != mat.cols:
         raise NotSquareError(f"determinant of a {mat.rows}x{mat.cols} matrix")
-    n = mat.rows
     a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Bareiss identity: prev divides the numerator
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _eliminate(a, mat.cols)
+    return sign * a[-1][-1] if len(pivots) == mat.rows else 0
+
+
+def pivot_columns(mat: IntMat) -> tuple[int, ...]:
+    """Leftmost linearly independent columns (the rank profile), in order."""
+    return tuple(_eliminate([list(row) for row in mat], mat.cols)[0])
+
+
+def _scaled_solve(mat: IntMat, r_rows: Iterable[list[int]]) -> tuple[int, list[list[int]]]:
+    # det and X = det * mat^-1 R for square mat: eliminate [mat | R], then back
+    # substitute; X is integral by Cramer's rule, so each division is exact
+    n = mat.rows
+    a = [list(row) + r for row, r in zip(mat, r_rows)]
+    pivots, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        raise SingularError("matrix is singular")
+    det = sign * a[n - 1][n - 1]
+    x: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        acc = [det * e for e in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [s - row[j] * e for s, e in zip(acc, x[j])]
+        x[i] = [s // row[i] for s in acc]
+    return det, x
+
+
+def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(det, adj)`` of a nonsingular square matrix, ``mat @ adj == det * I``.
+
+    Raises:
+        NotSquareError: if the matrix is not square.
+        SingularError: if the matrix is singular.
+    """
+    if mat.rows != mat.cols:
+        raise NotSquareError(f"adjugate of a {mat.rows}x{mat.cols} matrix")
+    n = mat.rows
+    det, x = _scaled_solve(mat, ([int(i == j) for j in range(n)] for i in range(n)))
+    return det, tuple(map(tuple, x))
 
 
 def gcd_max_minors(mat: IntMat) -> int:
     """gcd of all maximal (rows x rows) minors, always positive.
 
-    Computed as the product of the HNF pivots: column operations with a
-    unimodular transform leave the gcd of maximal minors unchanged, and for
-    the staircase form that gcd is the product of the diagonal.
-
     Raises:
         RankDeficientError: if the matrix does not have full row rank
             (all maximal minors vanish, the gcd is not defined here).
     """
-    h = hnf_column(mat).h
-    g = 1
-    for i in range(mat.rows):
-        g *= h[i][i]
-    return g
+    return hnf_column(mat).minors_gcd
 
 
-def solve_rational(mat: IntMat, rhs: Sequence) -> tuple[Fraction, ...]:
+def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:
     """Solve ``mat @ x = rhs`` exactly over the rationals.
 
     Raises:
@@ -240,48 +300,7 @@ def solve_rational(mat: IntMat, rhs: Sequence) -> tuple[Fraction, ...]:
     """
     if mat.rows != mat.cols:
         raise NotSquareError(f"solve with a {mat.rows}x{mat.cols} matrix")
-    n = mat.rows
-    if len(rhs) != n:
-        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {n}")
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SingularError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [e / pv for e in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def inverse_rational(mat: IntMat) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse as a tuple of Fraction rows.
-
-    Raises:
-        NotSquareError: if the matrix is not square.
-        SingularError: if the matrix is singular.
-    """
-    if mat.rows != mat.cols:
-        raise NotSquareError(f"inverse of a {mat.rows}x{mat.cols} matrix")
-    n = mat.rows
-    a = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SingularError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [e / pv for e in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n:]) for i in range(n))
+    if len(rhs) != mat.rows:
+        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
+    det, x = _scaled_solve(mat, ([e] for e in rhs))
+    return tuple(Fraction(v[0], det) for v in x)

@@ -11,16 +11,16 @@ region (in which case nonnegativity could not have been missed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
-from .cone import ConditionReport, deep_cone_condition
-from .errors import DimensionMismatchError, RankDeficientError, SingularError
-from .lattice import box_reduce, integer_solution_set, project_drop_m, special_basis
-from .lattice import lattice_determinant
-from .linalg import IntMat, det_exact, gcd_max_minors, solve_rational
+from .cone import ConditionReport, deep_cone_report
+from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
+from .lattice import box_reduce, lattice_determinant, project_drop_m, solution_set_from_hnf
+from .lattice import special_basis
+from .linalg import IntMat, adjugate, dot, gcd_max_minors, hnf_column, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,25 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class BasisPartition:
-    """Basis column indices, the induced column order (basis first), and the
-    corresponding blocks of A."""
+    """Basis column indices, the induced column order (basis first), the
+    corresponding blocks of A, and ``(det, adj) = adjugate(b_mat)``."""
 
     basis_cols: tuple[int, ...]
     order: tuple[int, ...]
     b_mat: IntMat
     n_mat: IntMat
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class Conditions:
+    """What the command line reports beside an outcome: the basis partition,
+    the gcd of the maximal minors of A, and the deep-cone report for b."""
+
+    partition: BasisPartition
+    gcd: int
+    report: ConditionReport
 
 
 def select_basis_columns(a_mat: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -83,25 +95,10 @@ def select_basis_columns(a_mat: IntMat) -> tuple[tuple[int, ...], tuple[int, ...
     Raises:
         RankDeficientError: if fewer than m independent columns exist.
     """
-    m, n = a_mat.rows, a_mat.cols
-    echelon: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for j in range(n):
-        if len(chosen) == m:
-            break
-        v = [Fraction(e) for e in a_mat.col(j)]
-        for row in echelon:
-            lead = next(i for i, e in enumerate(row) if e)
-            if v[lead]:
-                f = v[lead] / row[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            echelon.append(v)
-            chosen.append(j)
-    if len(chosen) < m:
-        raise RankDeficientError(f"matrix has rank {len(chosen)}, expected {m}")
-    order = tuple(chosen) + tuple(j for j in range(n) if j not in set(chosen))
-    return tuple(chosen), order
+    chosen = pivot_columns(a_mat)
+    if len(chosen) < a_mat.rows:
+        raise RankDeficientError(f"matrix has rank {len(chosen)}, expected {a_mat.rows}")
+    return chosen, chosen + tuple(j for j in range(a_mat.cols) if j not in chosen)
 
 
 def basis_partition(inst: ProblemInstance) -> BasisPartition:
@@ -113,23 +110,55 @@ def basis_partition(inst: ProblemInstance) -> BasisPartition:
     """
     a = inst.a
     m, n = a.rows, a.cols
-    if inst.basis_cols is not None:
+    if inst.basis_cols is None:
+        cols = select_basis_columns(a)[0]
+    else:
         cols = tuple(inst.basis_cols)
         if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
             raise DimensionMismatchError(
                 f"basis columns must be {m} distinct indices below {n}, got {cols}"
             )
-        if det_exact(a.select_cols(cols)) == 0:
-            raise SingularError(f"chosen basis columns {cols} are singular")
-        order = cols + tuple(j for j in range(n) if j not in set(cols))
-    else:
-        cols, order = select_basis_columns(a)
-    return BasisPartition(
-        basis_cols=cols,
-        order=order,
-        b_mat=a.select_cols(order[:m]),
-        n_mat=a.select_cols(order[m:]),
-    )
+    order = cols + tuple(j for j in range(n) if j not in cols)
+    b_mat = a.select_cols(cols)
+    try:
+        det, adj = adjugate(b_mat)
+    except SingularError as exc:
+        raise SingularError(f"chosen basis columns {cols} are singular") from exc
+    return BasisPartition(cols, order, b_mat, a.select_cols(order[m:]), det, adj)
+
+
+def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
+    # solve(), plus the partition and the gcd of the maximal minors of A,
+    # read off the one HNF: column order does not change that gcd
+    part = basis_partition(inst)
+    a, m = inst.a, inst.a.rows
+    a_perm = a.select_cols(part.order)
+    hnf = hnf_column(a_perm)
+    gcd = hnf.minors_gcd
+    rep = solution_set_from_hnf(a_perm, hnf, inst.b)
+    if rep is None:
+        return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd
+    basis = special_basis(project_drop_m(rep.kernel_basis, m))
+    red = box_reduce(basis.vectors, rep.particular[m:])
+    require(all(f.denominator == 1 for f in red.w), "box-reduced point is not integral", inst)
+    w = tuple(int(f) for f in red.w)
+    require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
+    box = math.prod(1 + e for e in w)
+    require(box <= lattice_determinant(basis), "box-reduced point outside the box", inst)
+    residual = tuple(bi - ni for bi, ni in zip(inst.b, part.n_mat.mul_vec(w)))
+    # u = B^-1 residual = adj(B) residual / det B, an exact division
+    lifted = [divmod(dot(row, residual), part.det) for row in part.adj]
+    require(all(r == 0 for _, r in lifted), "lift through the basis is not integral", inst)
+    x = [0] * a.cols
+    for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
+        x[j] = v
+    x = tuple(x)
+    require(a.mul_vec(x) == inst.b, "witness fails A x = b", inst)
+    if all(e >= 0 for e in x):
+        return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd
+    report = deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b)
+    require(not report.holds, "deep-cone test holds for a witness not nonnegative", inst)
+    return SolveOutcome(status=SolveStatus.INTEGER_ONLY, x=x, report=report), part, gcd
 
 
 def solve(inst: ProblemInstance) -> SolveOutcome:
@@ -137,45 +166,31 @@ def solve(inst: ProblemInstance) -> SolveOutcome:
 
     Steps: integer feasibility via the HNF staircase; box-reduce the
     projection of the particular solution modulo the projected kernel
-    lattice, giving the free part w >= 0; lift u through the basis block
+    lattice, giving the free part w >= 0; lift u = adj(B) (b - N w) / det B
     (always integral by construction) and undo the column permutation. If
     u >= 0 the witness is a nonnegative solution; otherwise the instance is
     integer-feasible only and the deep-cone report for b is attached.
+
+    Raises:
+        InternalError: if a guarantee of the pipeline fails, among them a
+            witness that does not satisfy ``A x = b`` and a deep-cone report
+            that holds while the witness is not nonnegative.
     """
+    return _solve(inst)[0]
+
+
+def solve_with_conditions(inst: ProblemInstance) -> tuple[SolveOutcome, Conditions]:
+    """``solve`` plus its ``Conditions``, each quantity computed once."""
+    outcome, part, gcd = _solve(inst)
+    report = outcome.report or deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b)
+    return outcome, Conditions(part, gcd, report)
+
+
+def conditions(inst: ProblemInstance) -> Conditions:
+    """The ``Conditions`` of an instance, without solving it."""
     part = basis_partition(inst)
-    a = inst.a
-    m, n = a.rows, a.cols
-    a_perm = a.select_cols(part.order)
-    rep = integer_solution_set(a_perm, inst.b)
-    if rep is None:
-        return SolveOutcome(status=SolveStatus.INFEASIBLE)
-    proj = project_drop_m(rep.kernel_basis, m)
-    basis = special_basis(proj)
-    red = box_reduce(basis.vectors, rep.particular[m:])
-    assert all(f.denominator == 1 for f in red.w)
-    w = tuple(int(f) for f in red.w)
-    assert all(e >= 0 for e in w)
-    prod = 1
-    for e in w:
-        prod *= 1 + e
-    assert prod <= lattice_determinant(basis)
-    residual = tuple(
-        bi - ni for bi, ni in zip(inst.b, part.n_mat.mul_vec(w))
-    )
-    u_frac = solve_rational(part.b_mat, residual)
-    assert all(f.denominator == 1 for f in u_frac)
-    u = tuple(int(f) for f in u_frac)
-    x_perm = u + w
-    x = [0] * n
-    for pos, j in enumerate(part.order):
-        x[j] = x_perm[pos]
-    x = tuple(x)
-    assert a.mul_vec(x) == inst.b
-    if all(e >= 0 for e in x):
-        return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x)
-    report = deep_cone_condition(part.b_mat, part.n_mat, gcd_max_minors(a), inst.b)
-    assert not report.holds
-    return SolveOutcome(status=SolveStatus.INTEGER_ONLY, x=x, report=report)
+    gcd = gcd_max_minors(inst.a)
+    return Conditions(part, gcd, deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b))
 
 
 def verify(a_mat: IntMat, b: Sequence[int], x: Sequence[int]) -> bool:

@@ -1,10 +1,15 @@
 """Independent reference implementations used only to cross-check the
 package. Everything here is deliberately naive: cofactor expansion, full
-minor enumeration, boolean reachability tables. Nothing imports from the
-package's internals beyond plain data."""
+minor enumeration, boolean reachability tables, and the ``Fraction``
+Gauss-Jordan eliminations the package used before its fraction-free core.
+Nothing imports from the package's internals beyond plain data and its
+exception types."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
+
+from diobox.errors import DimensionMismatchError, NotSquareError, SingularError
 
 
 def det_cofactor(rows):
@@ -69,3 +74,106 @@ def hnf_shape_ok(h, m):
         if any(not (0 <= h[i][j] < h[i][i]) for j in range(i)):
             return False
     return True
+
+
+def echelon_pivots(rows):
+    """Greedy leftmost linearly independent columns, by reducing each
+    column against a Fraction echelon of the columns chosen so far."""
+    m = len(rows)
+    echelon, chosen = [], []
+    for j in range(len(rows[0])):
+        if len(chosen) == m:
+            break
+        v = [Fraction(row[j]) for row in rows]
+        for row in echelon:
+            lead = next(i for i, e in enumerate(row) if e)
+            if v[lead]:
+                f = v[lead] / row[lead]
+                v = [a - f * b for a, b in zip(v, row)]
+        if any(v):
+            echelon.append(v)
+            chosen.append(j)
+    return tuple(chosen)
+
+
+def _gauss_jordan(rows, extra):
+    # reduce [rows | extra] over the rationals; None when rows is singular
+    n = len(rows)
+    a = [[Fraction(e) for e in list(row) + list(ext)] for row, ext in zip(rows, extra)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [e / pv for e in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+    return [tuple(row[n:]) for row in a]
+
+
+def solve_fraction(rows, rhs):
+    """``rows @ x = rhs`` over the rationals, with the package's errors."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotSquareError("not square")
+    if len(rhs) != n:
+        raise DimensionMismatchError("rhs length")
+    out = _gauss_jordan(rows, [[e] for e in rhs])
+    if out is None:
+        raise SingularError("singular")
+    return tuple(row[0] for row in out)
+
+
+def inverse_rational(rows):
+    """Exact inverse as Fraction rows, or None for a singular matrix."""
+    n = len(rows)
+    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _max_col_norm_sq(rows):
+    return max(sum(row[j] ** 2 for row in rows) for j in range(len(rows[0])))
+
+
+def _facets(binv, rhs, rhs_scale):
+    # (lhs_squared, rhs_squared, lhs_nonnegative) per facet, from B^-1
+    out = []
+    for row, scale in zip(binv, rhs_scale):
+        p = sum(a * b for a, b in zip(row, rhs))
+        out.append((p * p, scale, p >= 0))
+    return out
+
+
+def deep_cone_reference(b_rows, n_rows, gcd_a, rhs):
+    """``(holds, t_squared, facets)`` of the deep-cone test through the
+    Fraction inverse of B; None when B is singular."""
+    binv = inverse_rational(b_rows)
+    if binv is None:
+        return None
+    ratio = Fraction(abs(det_cofactor(b_rows)), gcd_a)
+    t_sq = _max_col_norm_sq(n_rows) * (ratio - 1) ** 2
+    facets = _facets(binv, rhs, [t_sq * sum(e * e for e in row) for row in binv])
+    holds = all(nonneg and lhs >= rhs_sq for lhs, rhs_sq, nonneg in facets)
+    return holds, t_sq, facets
+
+
+def shifted_cone_reference(a_rows, b_rows, n_rows, rhs):
+    """``(holds, shift_squared, facets)`` of the two-row shifted-cone test
+    through the Fraction inverse of B; "n/a" when some column of N leaves
+    the cone of B, None when B is singular."""
+    binv = inverse_rational(b_rows)
+    if binv is None:
+        return None
+    for j in range(len(n_rows[0])):
+        if any(sum(r[i] * n_rows[i][j] for i in range(2)) < 0 for r in binv):
+            return "n/a"
+    v = [sum(row) for row in a_rows]
+    lb_ln = _max_col_norm_sq(b_rows) * _max_col_norm_sq(n_rows)
+    d = abs(det_cofactor(b_rows))
+    factor = Fraction(d - 1, d)
+    cs = [factor * sum(a * b for a, b in zip(row, v)) for row in binv]
+    facets = _facets(binv, rhs, [lb_ln * c * c for c in cs])
+    holds = all(nonneg and lhs >= rhs_sq for lhs, rhs_sq, nonneg in facets)
+    return holds, lb_ln * factor * factor, facets

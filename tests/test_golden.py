@@ -1,0 +1,65 @@
+"""Byte-for-byte command line outputs.
+
+``tests/golden/CASES`` lists one ``diobox`` command per line: the golden
+file its standard output must equal, the exit code it must return, and its
+arguments, with paths relative to the repository root. ``gen`` lines write
+instance files that later lines read; the other instance files in
+``tests/golden/`` are written by hand. The outputs were captured before the
+solver moved from ``Fraction`` elimination to the fraction-free core, so
+this test pins that both give the same bytes.
+
+To regenerate every output and exit code after an intended output change,
+run from the repository root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from diobox.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+CASES = os.path.join(GOLDEN, "CASES")
+
+
+def read_cases() -> list[tuple[str, str, list[str]]]:
+    with open(CASES, encoding="utf-8") as fh:
+        return [(name, code, args) for name, code, *args in map(str.split, fh)]
+
+
+def run(args: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,code,args", [pytest.param(*c, id=c[0]) for c in read_cases()])
+def test_golden_output(name, code, args, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got_code, got = run(args)
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert got == fh.read()
+    assert got_code == int(code)
+
+
+def regenerate() -> None:
+    os.chdir(ROOT)
+    lines = []
+    for name, _, args in read_cases():
+        code, text = run(args)
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        lines.append(" ".join([name, str(code), *args]))
+    with open(CASES, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

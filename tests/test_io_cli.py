@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -125,6 +126,15 @@ def test_cli_solve_missing_file(tmp_path):
     assert main(["solve", "-i", str(tmp_path / "nope.json")]) == 3
 
 
+def test_cli_unwritable_output_and_non_utf8_input(tmp_path, capsys):
+    path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "-i", path, "-o", str(tmp_path / "no" / "such" / "dir.json")]) == 3
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"m": 1, "n": 2, "A": [["1", "2"]], "b": ["\xe9"]}')
+    assert main(["solve", "-i", str(latin)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_solve_malformed(tmp_path, capsys):
     path = _write(tmp_path / "bad.json", "{not json")
     assert main(["solve", "-i", path]) == 3
@@ -231,3 +241,96 @@ def test_cli_as_module(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "nonnegative"
+
+
+OVER_LIMIT = "1" + "0" * 4400  # above the interpreter's 4300-digit int/str limit
+
+
+def test_parse_int_over_limit_is_format_error():
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_int(OVER_LIMIT, "field 'b[0]'")
+    assert "b[0]" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 1, "n": 2, "A": [["%s", "3"]], "b": ["5"]}' % OVER_LIMIT,  # decimal string
+        '{"m": 1, "n": 2, "A": [[%s, 3]], "b": [5]}' % OVER_LIMIT,  # JSON literal
+    ],
+    ids=["string", "literal"],
+)
+def test_cli_over_limit_entry_exits_3(tmp_path, capsys, text):
+    path = _write(tmp_path / "big.json", text)
+    out = tmp_path / "o.json"
+    assert main(["solve", "-i", path, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "A[0][0]" in err and "Traceback" not in err
+    assert not out.exists()
+
+    d = tmp_path / "batch"
+    d.mkdir()
+    _write(d / "big.json", text)
+    _write(d / "ok.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "--batch", str(d), "--no-timing"]) == 3
+    assert "2 file(s), 1 failure(s)" in capsys.readouterr().err
+    assert (d / "ok.result.json").exists()
+    assert not (d / "big.result.json").exists()
+
+
+def test_no_assert_in_package():
+    # ``python -O`` strips asserts, so every guarantee is an explicit check
+    import ast
+    import pathlib
+
+    import diobox
+
+    for path in pathlib.Path(diobox.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not found, f"{path.name} has assert at lines {found}"
+
+
+def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a deep-cone report that holds for an integer-only witness breaks the
+    # one-sided contract: the solver must refuse it, and the CLI exit 4
+    import diobox.solver as solver_mod
+    from diobox import InternalError, solve
+
+    real = solver_mod.deep_cone_report
+
+    def always_holds(*args):
+        return dataclasses.replace(real(*args), holds=True)
+
+    monkeypatch.setattr(solver_mod, "deep_cone_report", always_holds)
+    inst = ProblemInstance(a=IntMat([[5, 2, 3]]), b=(1,))
+    with pytest.raises(InternalError) as exc:
+        solve(inst)
+    assert exc.value.instance == inst
+
+    bad = _write(tmp_path / "bad.json", _inst_json([[5, 2, 3]], [1]))
+    out = tmp_path / "o.json"
+    assert main(["solve", "-i", bad, "-o", str(out), "--no-timing"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal error: InternalError:")
+    assert not out.exists()
+
+    d = tmp_path / "batch"
+    d.mkdir()
+    _write(d / "bad.json", _inst_json([[5, 2, 3]], [1]))
+    _write(d / "ok.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "--batch", str(d), "--no-timing"]) == 4
+    assert "2 file(s), 1 failure(s)" in capsys.readouterr().err
+    assert (d / "ok.result.json").exists()
+
+
+def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    import diobox.cli as cli_mod
+
+    def broken(inst):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli_mod, "solve_with_conditions", broken)
+    path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "-i", path]) == 4
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"

@@ -12,12 +12,12 @@ from diobox import (
     SingularError,
     det_exact,
     gcd_max_minors,
+    adjugate,
     hnf_column,
-    inverse_rational,
     solve_rational,
     xgcd,
 )
-from oracles import det_cofactor, hnf_shape_ok, minors_gcd
+from oracles import det_cofactor, hnf_shape_ok, inverse_rational, minors_gcd
 
 
 def test_xgcd_basics():
@@ -232,18 +232,23 @@ def test_solve_rational_roundtrip():
 
 
 def test_inverse_rational():
+    # the Fraction reference inverse, and the adjugate as det times it
     rng = random.Random(7)
     done = 0
     while done < 100:
         n = rng.randint(1, 4)
         mat = IntMat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         if det_exact(mat) == 0:
+            assert inverse_rational(mat.tolist()) is None
             with pytest.raises(SingularError):
-                inverse_rational(mat)
+                adjugate(mat)
             continue
-        inv = inverse_rational(mat)
+        inv = inverse_rational(mat.tolist())
         for i in range(n):
             for j in range(n):
                 acc = sum(inv[i][k] * mat[k][j] for k in range(n))
                 assert acc == (1 if i == j else 0)
+        det, adj = adjugate(mat)
+        assert det == det_exact(mat)
+        assert adj == tuple(tuple(det * e for e in row) for row in inv)
         done += 1

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from diobox import (
     solve,
     verify,
 )
+from diobox import cli, gen, lattice, linalg, solver
 
 
 def test_select_basis_leftmost():
@@ -196,3 +198,46 @@ def test_boundary_mode_solvable():
         out = solve(inst)
         if out.x is not None:
             assert inst.a.mul_vec(out.x) == inst.b
+
+
+# hnf_column runs once for feasibility (its diagonal also gives the gcd of
+# the maximal minors) and once more for the special basis of a feasible instance
+HNF_CASES = [
+    ([[5, 2, 3]], (4,), "nonnegative", 2),
+    ([[5, 2, 3]], (1,), "integer_only", 2),
+    ([[2, 4]], (3,), "infeasible", 1),
+    ([[2, 0, 1, 3], [0, 2, 1, 1]], (9, 7), "nonnegative", 2),
+    ([[2, 4, 6, -8], [4, 2, 8, 10]], (3, 5), "infeasible", 1),
+]
+
+
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    # count every hnf_column call, whichever module makes it
+    calls = []
+    real = linalg.hnf_column
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for mod in (linalg, lattice, solver, gen, cli):
+        if hasattr(mod, "hnf_column"):
+            monkeypatch.setattr(mod, "hnf_column", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows,b,status,want", HNF_CASES)
+def test_hnf_runs_per_solve(rows, b, status, want, hnf_calls):
+    out = solve(ProblemInstance(a=IntMat(rows), b=b))
+    assert out.status.value == status
+    assert len(hnf_calls) == want
+
+
+@pytest.mark.parametrize("rows,b,status,want", HNF_CASES)
+def test_hnf_runs_per_cli_solve(rows, b, status, want, hnf_calls, tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"m": len(rows), "n": len(rows[0]), "A": rows, "b": list(b)}))
+    cli.main(["solve", "-i", str(path), "--no-timing"])
+    assert json.loads(capsys.readouterr().out)["status"] == status
+    assert len(hnf_calls) == want
