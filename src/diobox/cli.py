@@ -137,10 +137,12 @@ def _solve_single(path: str, output: str | None, with_timing: bool) -> int:
 
 def cmd_solve(args) -> int:
     if args.batch:
+        try:
+            entries = os.listdir(args.batch)
+        except OSError as exc:  # a missing or non-directory path is bad input, exit 3
+            raise DioboxError(f"{args.batch}: {exc.strerror or exc}") from exc
         names = sorted(
-            f
-            for f in os.listdir(args.batch)
-            if f.endswith(".json") and not f.endswith(".result.json")
+            f for f in entries if f.endswith(".json") and not f.endswith(".result.json")
         )
         failures, code = 0, 0
         for name in names:

@@ -7,7 +7,7 @@ import random
 
 from .cone import cone_coords, deep_cone_report, max_col_norm_squared
 from .errors import GenerationFailedError, require
-from .linalg import IntMat, adjugate, det_exact, dot, gcd_max_minors
+from .linalg import IntMat, adjugate, det_exact, dot, kernel_echelon
 from .solver import ProblemInstance
 
 MODES = ("feasible", "deep", "boundary")
@@ -29,8 +29,8 @@ def push_into_deep_cone(a_mat: IntMat, b: tuple[int, ...]) -> tuple[int, ...]:
     m = a_mat.rows
     b_mat = a_mat.select_cols(range(m))
     n_mat = a_mat.select_cols(range(m, a_mat.cols))
-    gcd_a = gcd_max_minors(a_mat)
     det, adj = adjugate(b_mat)
+    gcd_a = kernel_echelon(det, adj, tuple(zip(*n_mat)))[1]
     d = abs(det)
     scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2
     shift = []

@@ -17,7 +17,7 @@ from .errors import DioboxError, InstanceFormatError
 from .linalg import IntMat
 from .solver import ProblemInstance
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_int(value: Any, where: str) -> int:
@@ -25,7 +25,7 @@ def parse_int(value: Any, where: str) -> int:
         raise InstanceFormatError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and _INT_RE.match(value):
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
         try:
             return int(value)
         except ValueError:  # longer than the interpreter's int/str digit limit

@@ -2,12 +2,17 @@
 
 The integer solutions of ``A x = b`` (A integer, full row rank m, n columns)
 form either the empty set or an affine lattice ``r + L`` where L is the rank
-``n - m`` kernel lattice of A. Dropping the first m coordinates maps L
-bijectively onto a full-rank lattice in ``Z^(n-m)`` whenever the first m
-columns of A are nonsingular; that projected lattice has a unique
-lower-triangular basis with positive diagonal and reduced subdiagonal
-entries, and reducing a point into the half-open box spanned by the
-Gram-Schmidt vectors of that basis is the core step of the solver.
+``n - m`` kernel lattice of A. With A = (B | N) and B nonsingular, dropping
+the m coordinates of B maps L bijectively onto the full-rank lattice
+``L' = {z in Z^(n-m) : adj(B) N z = 0 (mod D)}``, D = |det B|, and the
+solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
+``kernel_coset`` builds both modulo D through ``linalg.kernel_echelon``, so
+no entry it handles exceeds D. L' has a unique lower-triangular basis with
+positive diagonal and reduced subdiagonal entries, and reducing a point of
+the coset into the half-open box spanned by the Gram-Schmidt vectors of
+that basis is the core step of the solver. ``integer_solution_set`` and
+``special_basis`` compute the same objects over the integers through
+``hnf_column``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import HnfResult, IntMat, dot, hnf_column
+from .linalg import IntMat, dot, hnf_column, kernel_echelon
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,8 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     """
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    return solution_set_from_hnf(mat, hnf_column(mat), rhs)
-
-
-def solution_set_from_hnf(
-    mat: IntMat, res: HnfResult, rhs: Sequence[int]
-) -> AffineLatticeRep | None:
-    """``integer_solution_set`` given ``res = hnf_column(mat)``."""
     m, n = mat.rows, mat.cols
+    res = hnf_column(mat)
     h, u = res.h, res.u
     y: list[int] = []
     for i in range(m):
@@ -123,6 +122,49 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
             vecs,
         )
     return SpecialBasis(out)
+
+
+@dataclass(frozen=True)
+class KernelCoset:
+    """The projected kernel lattice L' of ``(B | N)`` as its special basis,
+    the gcd of the maximal minors of ``(B | N)``, and the point z0 of
+    ``[0, D)^(n-m)`` in the coset of L' that solves ``(B | N) x = b``, or
+    None when there is no integer solution."""
+
+    basis: SpecialBasis
+    gcd: int
+    point: tuple[int, ...] | None
+
+
+def kernel_coset(
+    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, rhs: Sequence[int]
+) -> KernelCoset:
+    """L', the gcd and the solution coset of ``(B | N) x = rhs`` modulo D.
+
+    ``(det, adj) = adjugate(B)`` and D = |det B|. The coset is found by
+    reducing ``(0 ; adj rhs mod D)`` along the last m vectors of
+    ``kernel_echelon``: a pivot that does not divide its entry means no
+    integer solution; otherwise ``(-z0 ; 0)`` is left, with
+    ``adj N z0 = adj rhs (mod D)``.
+    """
+    d, k = abs(det), n_mat.cols
+    ech, gcd = kernel_echelon(det, adj, tuple(zip(*n_mat)))
+    basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
+    cur = [0] * k + [dot(row, rhs) % d for row in adj]
+    for c in reversed(range(k, len(cur))):
+        v = ech[c]
+        q, r = divmod(cur[c], v[c])
+        if r:
+            return KernelCoset(basis, gcd, None)
+        cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
+    point = tuple(-x % d for x in cur)
+    nz = n_mat.mul_vec(point)
+    require(
+        all((dot(row, rhs) - dot(row, nz)) % d == 0 for row in adj),
+        "coset point fails adj(B) N z0 = adj(B) b (mod |det B|)",
+        (det, n_mat, rhs),
+    )
+    return KernelCoset(basis, gcd, point)
 
 
 def lattice_determinant(basis: SpecialBasis) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     NotSquareError,
     RankDeficientError,
     SingularError,
+    require,
 )
 
 
@@ -133,13 +134,6 @@ class IntMat:
 class HnfResult:
     h: IntMat
     u: IntMat
-
-    @property
-    def minors_gcd(self) -> int:
-        """gcd of the maximal minors of the input: unimodular column
-        operations keep it, and for the staircase ``h`` it is the product of
-        the pivots. Column order does not change it either."""
-        return math.prod(self.h[i][i] for i in range(self.h.rows))
 
 
 def hnf_column(mat: IntMat) -> HnfResult:
@@ -283,11 +277,112 @@ def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def gcd_max_minors(mat: IntMat) -> int:
     """gcd of all maximal (rows x rows) minors, always positive.
 
+    Picks the leftmost nonsingular column block B, then reads the gcd off
+    ``kernel_echelon`` of B and the remaining columns.
+
     Raises:
         RankDeficientError: if the matrix does not have full row rank
             (all maximal minors vanish, the gcd is not defined here).
     """
-    return hnf_column(mat).minors_gcd
+    piv = pivot_columns(mat)
+    if len(piv) < mat.rows:
+        raise RankDeficientError(f"matrix has rank {len(piv)}, expected {mat.rows}")
+    det, adj = adjugate(mat.select_cols(piv))
+    rest = [mat.col(j) for j in range(mat.cols) if j not in piv]
+    return kernel_echelon(det, adj, rest)[1]
+
+
+def hnf_mod(
+    gens: Sequence[Sequence[int]], width: int, mod: int
+) -> tuple[tuple[int, ...], ...]:
+    """Reduced lower-triangular basis of ``span(gens) + mod * Z^width``.
+
+    Vector i of the result has a positive entry at coordinate i, zeros after
+    it, and entries in ``[0, v_j[j])`` at every coordinate j < i; that basis
+    is unique. Each pivot divides ``mod``, so every entry off the diagonal
+    lies in ``[0, mod)``.
+
+    The coordinates are taken from the last to the first. At coordinate c,
+    ``mod * e_c`` joins the generators and extended gcds fold their entries
+    at c into one pivot vector; the other generators, the remainder of
+    ``mod * e_c`` among them, leave with a zero there. Since the lattice
+    contains ``mod * Z^width``, every entry is kept reduced modulo ``mod``
+    (Domich, Kannan and Trotter 1987; Cohen, Algorithm 2.4.8), so nothing
+    grows past ``mod``.
+
+    Raises:
+        ValueError: if ``mod`` is not positive.
+        DimensionMismatchError: if a generator does not have ``width`` entries.
+    """
+    if mod < 1:
+        raise ValueError(f"modulus must be a positive integer, got {mod}")
+    rows = []
+    for i, g in enumerate(gens):
+        if len(g) != width:
+            raise DimensionMismatchError(f"generator {i} has length {len(g)}, expected {width}")
+        rows.append([e % mod for e in g])
+    piv: list[list[int]] = [[]] * width
+    for c in reversed(range(width)):
+        # rows have length c + 1 here; p starts as mod * e_c
+        p, a = [0] * c, mod
+        rest = []
+        for g in rows:
+            b = g.pop()
+            if b:
+                h, s, t = xgcd(a, b)
+                ah, bh = a // h, b // h
+                # (p, g) <- (s p + t g, (a/h) g - (b/h) p): a unimodular step
+                p, g = (
+                    [(s * x + t * y) % mod for x, y in zip(p, g)],
+                    [(ah * y - bh * x) % mod for x, y in zip(p, g)],
+                )
+                a = h
+            if any(g):
+                rest.append(g)
+        p.append(a)
+        piv[c] = p
+        rows = rest
+    # bring each entry left of a pivot into [0, pivot), right to left; a
+    # multiple of mod * e_j with j < i lies in the span of v_0..v_j, so the
+    # entries further left stay reduced modulo mod on the way
+    for i in range(width):
+        v = piv[i]
+        for j in reversed(range(i)):
+            q = v[j] // piv[j][j]
+            if q:
+                pj = piv[j]
+                v[:j] = [(x - q * y) % mod for x, y in zip(v[:j], pj)]
+                v[j] -= q * pj[j]
+    return tuple(tuple(v) + (0,) * (width - 1 - i) for i, v in enumerate(piv))
+
+
+def kernel_echelon(
+    det: int, adj: Sequence[Sequence[int]], n_cols: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The kernel lattice of ``(B | N)`` modulo ``D = |det B|``, and the gcd.
+
+    ``(det, adj) = adjugate(B)``, and ``n_cols`` are the k columns of N.
+    Since ``B^-1 = adj / det``, an integer z extends to an integer kernel
+    vector exactly when ``adj N z = 0 (mod D)``. Returns the ``hnf_mod``
+    basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj N z (mod D)}``, z
+    first, built from the generators ``(e_j ; adj N_j)``, and the gcd of the
+    maximal minors of ``(B | N)``. The first k basis vectors have t = 0:
+    cut to their z part, they are the reduced triangular basis of the
+    projected kernel lattice ``L' = {z : adj N z = 0 (mod D)}``. The index of
+    L' in ``Z^k`` is ``D / gcd``, so the gcd is D over the product of their
+    diagonal entries. The last m vectors decide the congruences
+    ``adj N z = r (mod D)``.
+    """
+    d, k, m = abs(det), len(n_cols), len(adj)
+    gens = [
+        [int(i == j) for i in range(k)] + [dot(row, col) for row in adj]
+        for j, col in enumerate(n_cols)
+    ]
+    ech = hnf_mod(gens, k + m, d)
+    lat_det = math.prod(ech[i][i] for i in range(k))
+    gcd = d // lat_det
+    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_cols))
+    return ech, gcd
 
 
 def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:

@@ -1,12 +1,15 @@
 """End-to-end solver for nonnegative integer solutions of A x = b.
 
-Pipeline: decide integer feasibility through the Hermite normal form, reduce
-the projected particular solution into the box of the kernel lattice's
-triangular basis, then lift back through the basis block. The lifted point is
-always an integer solution; when it is nonnegative the instance is solved,
-otherwise the instance is classified integer-feasible only, together with an
-exact report saying whether the right-hand side was inside the guaranteed
-region (in which case nonnegativity could not have been missed).
+Pipeline: pick a nonsingular column block B, and decide integer
+feasibility modulo D = |det B| from ``adj(B)``: the same reduction yields the
+triangular basis of the projected kernel lattice, a point of the projected
+solution coset and the gcd of the maximal minors. Reduce that point into
+the box of the triangular basis, then lift back through the basis block.
+The lifted point is always an integer solution; when it is nonnegative the
+instance is solved, otherwise the instance is classified integer-feasible
+only, together with an exact report saying whether the right-hand side was
+inside the guaranteed region (in which case nonnegativity could not have
+been missed).
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from typing import Sequence
 
 from .cone import ConditionReport, deep_cone_report
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .lattice import box_reduce, lattice_determinant, project_drop_m, solution_set_from_hnf
-from .lattice import special_basis
-from .linalg import IntMat, adjugate, dot, gcd_max_minors, hnf_column, pivot_columns
+from .lattice import box_reduce, kernel_coset, lattice_determinant
+from .linalg import IntMat, adjugate, dot, kernel_echelon, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,15 @@ def basis_partition(inst: ProblemInstance) -> BasisPartition:
 
 def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
     # solve(), plus the partition and the gcd of the maximal minors of A,
-    # read off the one HNF: column order does not change that gcd
+    # which the modular reduction gives for infeasible instances as well
     part = basis_partition(inst)
-    a, m = inst.a, inst.a.rows
-    a_perm = a.select_cols(part.order)
-    hnf = hnf_column(a_perm)
-    gcd = hnf.minors_gcd
-    rep = solution_set_from_hnf(a_perm, hnf, inst.b)
-    if rep is None:
+    a = inst.a
+    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    gcd = coset.gcd
+    if coset.point is None:
         return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd
-    basis = special_basis(project_drop_m(rep.kernel_basis, m))
-    red = box_reduce(basis.vectors, rep.particular[m:])
+    basis = coset.basis
+    red = box_reduce(basis.vectors, coset.point)
     require(all(f.denominator == 1 for f in red.w), "box-reduced point is not integral", inst)
     w = tuple(int(f) for f in red.w)
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
@@ -164,12 +164,14 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
 def solve(inst: ProblemInstance) -> SolveOutcome:
     """Classify an instance and produce a witness solution when one exists.
 
-    Steps: integer feasibility via the HNF staircase; box-reduce the
-    projection of the particular solution modulo the projected kernel
-    lattice, giving the free part w >= 0; lift u = adj(B) (b - N w) / det B
-    (always integral by construction) and undo the column permutation. If
-    u >= 0 the witness is a nonnegative solution; otherwise the instance is
-    integer-feasible only and the deep-cone report for b is attached.
+    Steps: with D = |det B|, solve ``adj(B) N z = adj(B) b (mod D)`` by
+    ``kernel_coset``, which also gives the triangular basis of the projected
+    kernel lattice and every entry of which stays below D; no solution means
+    infeasible. Box-reduce the coset point modulo that lattice, giving the
+    free part w >= 0; lift u = adj(B) (b - N w) / det B (always integral by
+    construction) and undo the column permutation. If u >= 0 the witness is
+    a nonnegative solution; otherwise the instance is integer-feasible only
+    and the deep-cone report for b is attached.
 
     Raises:
         InternalError: if a guarantee of the pipeline fails, among them a
@@ -189,7 +191,7 @@ def solve_with_conditions(inst: ProblemInstance) -> tuple[SolveOutcome, Conditio
 def conditions(inst: ProblemInstance) -> Conditions:
     """The ``Conditions`` of an instance, without solving it."""
     part = basis_partition(inst)
-    gcd = gcd_max_minors(inst.a)
+    gcd = kernel_echelon(part.det, part.adj, tuple(zip(*part.n_mat)))[1]
     return Conditions(part, gcd, deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b))
 
 

@@ -1,6 +1,10 @@
 """The fraction-free elimination core against the Fraction eliminations it
 replaced (kept in ``oracles.py``), on random square and wide matrices that
-include singular and rank-deficient ones."""
+include singular and rank-deficient ones; and the lattice work modulo
+|det B| against the ``hnf_column`` route it replaced."""
+
+import math
+import random
 
 import pytest
 
@@ -8,23 +12,35 @@ from diobox import (
     DimensionMismatchError,
     IntMat,
     NotSquareError,
+    ProblemInstance,
     RankDeficientError,
     SingularError,
+    SolveStatus,
     adjugate,
+    basis_partition,
+    box_reduce,
     deep_cone_condition,
     det_exact,
     gcd_max_minors,
+    hnf_column,
+    integer_solution_set,
+    project_drop_m,
     select_basis_columns,
     shifted_cone_condition_m2,
+    solve,
     solve_rational,
+    special_basis,
 )
 from diobox.gen import push_into_deep_cone
-from diobox.linalg import pivot_columns
+from diobox.lattice import kernel_coset
+from diobox.linalg import hnf_mod, pivot_columns
+from diobox.solver import conditions
 from oracles import (
     deep_cone_reference,
     det_cofactor,
     echelon_pivots,
     inverse_rational,
+    minors_gcd,
     shifted_cone_reference,
     solve_fraction,
 )
@@ -175,3 +191,147 @@ def test_push_into_deep_cone_is_minimal(data):
         if ki:
             back = tuple(o - row[i] for o, row in zip(out, rows))
             assert not deep_cone_condition(b_mat, n_mat, gcd_a, back).facets[i].satisfied
+
+
+def _hnf_mod_reference(gens, width, mod):
+    # the same lattice through hnf_column over the integers, the way
+    # special_basis reads a lower-triangular basis off it
+    vecs = [list(g) for g in gens] + [[mod * (i == j) for j in range(width)] for i in range(width)]
+    h = hnf_column(IntMat([v[::-1] for v in vecs]).transpose()).h
+    return tuple(tuple(h.col(width - 1 - i)[::-1]) for i in range(width))
+
+
+@SETTINGS
+@given(st.data())
+def test_hnf_mod_matches_integer_hnf(data):
+    width = data.draw(st.integers(1, 6))
+    mod = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 10**9)))
+    gens = data.draw(st.lists(_vector(width), max_size=7))
+    got = hnf_mod(gens, width, mod)
+    assert got == _hnf_mod_reference(gens, width, mod)
+    for i, v in enumerate(got):
+        assert mod % v[i] == 0 and not any(v[i + 1 :])
+        assert all(0 <= v[j] < got[j][j] for j in range(i))
+
+
+def _routes_agree(inst, oracle_gcd=True):
+    """Compare the modular route with the hnf_column route on one instance;
+    return whether the instance is integer feasible."""
+    part = basis_partition(inst)
+    m, d = inst.a.rows, abs(part.det)
+    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    rep = integer_solution_set(inst.a.select_cols(part.order), inst.b)
+    assert (coset.point is None) == (rep is None)
+    # the gcd, for infeasible instances too
+    assert coset.gcd == math.prod(hnf_column(inst.a).h[i][i] for i in range(m))
+    if oracle_gcd:
+        assert coset.gcd == minors_gcd(inst.a.tolist())
+    basis = coset.basis.vectors
+    assert math.prod(coset.basis.diagonal) * coset.gcd == d
+    for i, v in enumerate(basis):
+        assert d % v[i] == 0 and all(0 <= e < d for e in v[:i])
+    if rep is None:
+        return False
+    assert all(0 <= e < d for e in coset.point)
+    want = special_basis(project_drop_m(rep.kernel_basis, m))
+    assert basis == want.vectors
+    assert box_reduce(basis, coset.point).w == box_reduce(basis, rep.particular[m:]).w
+    return True
+
+
+@st.composite
+def instances(draw, explicit=None):
+    """Systems with ``b`` either ``A x`` or arbitrary, and with ``explicit``
+    (drawn when None) a random ``basis_cols``. The rows may be dependent and
+    the chosen basis singular."""
+    if explicit is None:
+        explicit = draw(st.booleans())
+    rows = draw(matrices())
+    m, n = len(rows), len(rows[0])
+    if n == m:
+        rows = [row + [draw(ENTRIES)] for row in rows]
+        n += 1
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        b = tuple(sum(a * e for a, e in zip(row, x)) for row in rows)
+    else:
+        b = tuple(draw(_vector(m)))
+    cols = None
+    if explicit:
+        cols = tuple(draw(st.permutations(range(n)))[:m])
+    return ProblemInstance(a=IntMat(rows), b=b, basis_cols=cols)
+
+
+@SETTINGS
+@given(instances())
+def test_modular_route_matches_hnf_route(inst):
+    try:
+        basis_partition(inst)
+    except (RankDeficientError, SingularError):
+        return
+    _routes_agree(inst)
+
+
+@SETTINGS
+@given(st.data())
+def test_modular_route_unimodular_basis(data):
+    # B = L U with unit diagonals: |det B| = 1, so L' is all of Z^(n-m),
+    # the coset point is 0, and every b is feasible
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 4))
+    small = st.integers(-4, 4)
+    lo = [[1 if i == j else data.draw(small) if j < i else 0 for j in range(m)] for i in range(m)]
+    up = [[1 if i == j else data.draw(small) if j > i else 0 for j in range(m)] for i in range(m)]
+    b_rows = (IntMat(lo) @ IntMat(up)).tolist()
+    rows = [rb + data.draw(_vector(k)) for rb in b_rows]
+    inst = ProblemInstance(a=IntMat(rows), b=tuple(data.draw(_vector(m))), basis_cols=tuple(range(m)))
+    part = basis_partition(inst)
+    assert part.det == 1
+    assert _routes_agree(inst)
+    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    assert coset.point == (0,) * k and coset.gcd == 1
+
+
+@pytest.mark.parametrize(
+    "rows,b,cols",
+    [
+        ([[5, 2, 3]], (1,), None),  # m = 1
+        ([[-6, 4, 9, 15]], (7,), None),  # m = 1, det B < 0
+        ([[0, 1, 2], [1, 0, 3]], (4, 5), None),  # det B = -1
+        ([[3, 1, 4, 1], [5, 9, 2, 6]], (7, 8), (1, 0)),  # explicit basis, det B < 0
+        ([[2, 4, 6, -8], [4, 2, 8, 10]], (3, 5), None),  # infeasible
+        ([[2, 4, 6, -8], [4, 2, 8, 10]], (4, 6), (2, 3)),  # explicit basis
+    ],
+)
+def test_modular_route_examples(rows, b, cols):
+    _routes_agree(ProblemInstance(a=IntMat(rows), b=b, basis_cols=cols))
+
+
+@pytest.mark.parametrize("seed,feasible", [(11, True), (12, False)])
+def test_modular_route_large_system(seed, feasible):
+    # m = 10, n = 20, entries +-1000; the infeasible one has A even and b odd
+    rng = random.Random(seed)
+    rows = [[rng.randint(-1000, 1000) for _ in range(20)] for _ in range(10)]
+    if not feasible:
+        rows = [[2 * e for e in row] for row in rows]
+    a = IntMat(rows)
+    b = a.mul_vec([rng.randint(0, 5) for _ in range(20)])
+    if not feasible:
+        b = (b[0] + 1,) + b[1:]
+    inst = ProblemInstance(a=a, b=b)
+    assert abs(basis_partition(inst).det).bit_length() > 100
+    assert _routes_agree(inst, oracle_gcd=False) == feasible
+    assert (solve(inst).status == SolveStatus.INFEASIBLE) != feasible
+
+
+@SETTINGS
+@given(instances(explicit=False))
+def test_one_gcd_source(inst):
+    want = minors_gcd(inst.a.tolist())
+    if want == 0:  # dependent rows
+        with pytest.raises(RankDeficientError):
+            conditions(inst)
+        with pytest.raises(RankDeficientError):
+            gcd_max_minors(inst.a)
+        return
+    assert want == conditions(inst).gcd == gcd_max_minors(inst.a)

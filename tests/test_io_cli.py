@@ -232,6 +232,23 @@ def test_cli_batch_reports_bad_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["3\n", "3\r\n", " 3", "3 "])
+def test_parse_int_rejects_surrounding_whitespace(tmp_path, capsys, text):
+    with pytest.raises(InstanceFormatError):
+        parse_int(text, "x")
+    path = _write(tmp_path / "i.json", json.dumps({"m": 1, "n": 3, "A": [["5", "2", text]], "b": ["4"]}))
+    assert main(["solve", "-i", path, "--no-timing"]) == 3
+    assert "field 'A[0][2]'" in capsys.readouterr().err
+
+
+def test_cli_batch_bad_directory_is_input_error(tmp_path, capsys):
+    plain = _write(tmp_path / "plain.json", _inst_json([[5, 2, 3]], [4]))
+    for path in (str(tmp_path / "missing"), plain):
+        assert main(["solve", "--batch", path, "--no-timing"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "internal error" not in err
+
+
 def test_cli_as_module(tmp_path):
     path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
     proc = subprocess.run(

@@ -200,8 +200,11 @@ def test_boundary_mode_solvable():
             assert inst.a.mul_vec(out.x) == inst.b
 
 
-# hnf_column runs once for feasibility (its diagonal also gives the gcd of
-# the maximal minors) and once more for the special basis of a feasible instance
+# solve(), the CLI's solve, check, bounds and gen, and gcd_max_minors work
+# modulo |det B| and never run hnf_column. The last column counts the
+# hnf_column runs of the integer route they replaced (integer_solution_set
+# for feasibility, special_basis for the lattice of a feasible instance),
+# which the tests below run afterwards as a reference for the witness.
 HNF_CASES = [
     ([[5, 2, 3]], (4,), "nonnegative", 2),
     ([[5, 2, 3]], (1,), "integer_only", 2),
@@ -227,17 +230,47 @@ def hnf_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("rows,b,status,want", HNF_CASES)
-def test_hnf_runs_per_solve(rows, b, status, want, hnf_calls):
-    out = solve(ProblemInstance(a=IntMat(rows), b=b))
+def _reference_free_part(inst):
+    # the box-reduced free part w by the hnf_column route, None if infeasible
+    part = basis_partition(inst)
+    m = inst.a.rows
+    rep = integer_solution_set(inst.a.select_cols(part.order), inst.b)
+    if rep is None:
+        return None
+    basis = lattice.special_basis(lattice.project_drop_m(rep.kernel_basis, m))
+    return tuple(int(f) for f in lattice.box_reduce(basis.vectors, rep.particular[m:]).w)
+
+
+def _free_part(inst, x):
+    return None if x is None else tuple(x[j] for j in basis_partition(inst).order[inst.a.rows :])
+
+
+@pytest.mark.parametrize("rows,b,status,ref_calls", HNF_CASES)
+def test_hnf_runs_per_solve(rows, b, status, ref_calls, hnf_calls):
+    inst = ProblemInstance(a=IntMat(rows), b=b)
+    out = solve(inst)
     assert out.status.value == status
-    assert len(hnf_calls) == want
+    assert len(hnf_calls) == 0
+    gcd_max_minors(inst.a)
+    assert len(hnf_calls) == 0
+    assert _reference_free_part(inst) == _free_part(inst, out.x)
+    assert len(hnf_calls) == ref_calls
 
 
-@pytest.mark.parametrize("rows,b,status,want", HNF_CASES)
-def test_hnf_runs_per_cli_solve(rows, b, status, want, hnf_calls, tmp_path, capsys):
+@pytest.mark.parametrize("rows,b,status,ref_calls", HNF_CASES)
+def test_hnf_runs_per_cli_solve(rows, b, status, ref_calls, hnf_calls, tmp_path, capsys):
     path = tmp_path / "i.json"
     path.write_text(json.dumps({"m": len(rows), "n": len(rows[0]), "A": rows, "b": list(b)}))
     cli.main(["solve", "-i", str(path), "--no-timing"])
-    assert json.loads(capsys.readouterr().out)["status"] == status
-    assert len(hnf_calls) == want
+    result = json.loads(capsys.readouterr().out)
+    assert result["status"] == status
+    for command in ("check", "bounds"):
+        assert cli.main([command, "-i", str(path)]) == 0
+    m, n = len(rows), len(rows[0])
+    assert cli.main(["gen", "--m", str(m), "--n", str(n), "--seed", "1", "--mode", "deep"]) == 0
+    capsys.readouterr()
+    assert len(hnf_calls) == 0
+    inst = ProblemInstance(a=IntMat(rows), b=b)
+    x = None if result["x"] is None else [int(e) for e in result["x"]]
+    assert _reference_free_part(inst) == _free_part(inst, x)
+    assert len(hnf_calls) == ref_calls
