@@ -11,9 +11,8 @@ module is the explicitly approximate diagnostic bound at the bottom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -24,8 +23,7 @@ from .errors import (
 from .linalg import IntMat, adjugate, det_exact, dot
 
 
-@dataclass(frozen=True)
-class FacetCheck:
+class FacetCheck(NamedTuple):
     """Squared margin comparison for one facet of a simplicial cone.
 
     The facet passes when the point is on the inner side (lhs_nonnegative)
@@ -43,8 +41,7 @@ class FacetCheck:
         return self.lhs_nonnegative and self.lhs_squared >= self.rhs_squared
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool
     threshold_squared: Fraction
     facets: tuple[FacetCheck, ...]
@@ -64,16 +61,6 @@ def cone_coords(
     when ``point`` is on the inner side of facet i of C_B.
     """
     return tuple(dot(row, point) if det > 0 else -dot(row, point) for row in adj)
-
-
-def in_cone(b_mat: IntMat, point: Sequence[int]) -> bool:
-    """Whether ``point`` lies in the cone spanned by the columns of ``b_mat``.
-
-    Raises:
-        SingularError: if ``b_mat`` is singular (the cone is not simplicial).
-    """
-    det, adj = adjugate(b_mat)
-    return all(c >= 0 for c in cone_coords(det, adj, point))
 
 
 def deep_cone_condition(

@@ -18,16 +18,14 @@ that basis is the core step of the solver. ``integer_solution_set`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
 from .linalg import IntMat, dot, hnf_column, kernel_echelon
 
 
-@dataclass(frozen=True)
-class AffineLatticeRep:
+class AffineLatticeRep(NamedTuple):
     """A particular integer solution plus a basis of the kernel lattice."""
 
     particular: tuple[int, ...]
@@ -77,8 +75,7 @@ def project_drop_m(vectors: Sequence[Sequence[int]], m: int) -> tuple[tuple[int,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SpecialBasis:
+class SpecialBasis(NamedTuple):
     """Lower-triangular lattice basis: vectors[i][i] > 0, zeros above the
     diagonal, and 0 <= vectors[i][j] < vectors[j][j] for j < i. This basis is
     unique for a given full-rank lattice."""
@@ -124,8 +121,7 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
     return SpecialBasis(out)
 
 
-@dataclass(frozen=True)
-class KernelCoset:
+class KernelCoset(NamedTuple):
     """The projected kernel lattice L' of ``(B | N)`` as its special basis,
     the gcd of the maximal minors of ``(B | N)``, and the point z0 of
     ``[0, D)^(n-m)`` in the coset of L' that solves ``(B | N) x = b``, or
@@ -175,8 +171,7 @@ def lattice_determinant(basis: SpecialBasis) -> int:
     return prod
 
 
-@dataclass(frozen=True)
-class GramSchmidtData:
+class GramSchmidtData(NamedTuple):
     """Orthogonalization ``ortho`` plus the projection coefficients ``mu``;
     ``mu[i]`` holds the i coefficients of vector i against ortho[0..i-1]."""
 
@@ -215,8 +210,7 @@ def gram_schmidt(vectors: Sequence[Sequence]) -> GramSchmidtData:
     return GramSchmidtData(tuple(ortho), tuple(mu))
 
 
-@dataclass(frozen=True)
-class BoxReduction:
+class BoxReduction(NamedTuple):
     """Decomposition ``x = y + w`` with y in the lattice and w in the
     half-open Gram-Schmidt box of the basis."""
 

@@ -10,9 +10,8 @@ no tolerance in this module; equality means equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -130,8 +129,7 @@ class IntMat:
         return [list(r) for r in self._data]
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(NamedTuple):
     h: IntMat
     u: IntMat
 

@@ -15,9 +15,8 @@ been missed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
@@ -25,26 +24,33 @@ from .lattice import box_reduce, kernel_coset, lattice_determinant
 from .linalg import IntMat, adjugate, dot, kernel_echelon, pivot_columns
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class _InstanceFields(NamedTuple):
+    a: IntMat
+    b: tuple[int, ...]
+    basis_cols: tuple[int, ...] | None = None
+
+
+class ProblemInstance(_InstanceFields):
     """System ``a @ x = b`` with optional explicit basis column choice.
 
     ``basis_cols`` is 0-based here; instance files store it 1-based.
     """
 
-    a: IntMat
-    b: tuple[int, ...]
-    basis_cols: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.b) != self.a.rows:
+    def __new__(cls, a: IntMat, b: tuple[int, ...], basis_cols: tuple[int, ...] | None = None):
+        if len(b) != a.rows:
+            raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
+        if a.rows >= a.cols:
             raise DimensionMismatchError(
-                f"b has length {len(self.b)}, expected {self.a.rows}"
+                f"need strictly more columns than rows, got {a.rows}x{a.cols}"
             )
-        if self.a.rows >= self.a.cols:
-            raise DimensionMismatchError(
-                f"need strictly more columns than rows, got {self.a.rows}x{self.a.cols}"
-            )
+        return super().__new__(cls, a, b, basis_cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so it gets the checks too
+        return cls(*iterable)
 
 
 class SolveStatus(str, Enum):
@@ -53,8 +59,7 @@ class SolveStatus(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Classification plus witness. ``x`` is a solution for the first two
     statuses (nonnegative in the first case); ``report`` carries the deep-cone
     margins when the status is INTEGER_ONLY."""
@@ -64,8 +69,7 @@ class SolveOutcome:
     report: ConditionReport | None = None
 
 
-@dataclass(frozen=True)
-class BasisPartition:
+class BasisPartition(NamedTuple):
     """Basis column indices, the induced column order (basis first), the
     corresponding blocks of A, and ``(det, adj) = adjugate(b_mat)``."""
 
@@ -77,8 +81,7 @@ class BasisPartition:
     adj: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Conditions:
+class Conditions(NamedTuple):
     """What the command line reports beside an outcome: the basis partition,
     the gcd of the maximal minors of A, and the deep-cone report for b."""
 
@@ -125,7 +128,8 @@ def basis_partition(inst: ProblemInstance) -> BasisPartition:
     try:
         det, adj = adjugate(b_mat)
     except SingularError as exc:
-        raise SingularError(f"chosen basis columns {cols} are singular") from exc
+        shown = [c + 1 for c in cols]  # as instance files give them
+        raise SingularError(f"chosen basis columns {shown} (1-based) are singular") from exc
     return BasisPartition(cols, order, b_mat, a.select_cols(order[m:]), det, adj)
 
 

@@ -5,7 +5,7 @@ When every entry of A is nonnegative and every column has at least one
 positive entry, residuals bound each variable exactly, so a failed search is
 a proof of infeasibility; in every other situation a "none found" answer is
 explicitly marked inconclusive. This module exists to cross-check the real
-solver, never to replace it.
+solver, never to replace it; only the tests import it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatchError
-from .linalg import IntMat
+from diobox.errors import DimensionMismatchError
+from diobox.linalg import IntMat
 
 
 @dataclass(frozen=True)

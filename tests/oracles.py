@@ -133,6 +133,19 @@ def inverse_rational(rows):
     return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def in_cone(b_rows, point):
+    """Whether ``point`` lies in the cone spanned by the columns of
+    ``b_rows``, through the Fraction inverse of B.
+
+    Raises:
+        SingularError: if B is singular (the cone is not simplicial).
+    """
+    binv = inverse_rational([list(row) for row in b_rows])
+    if binv is None:
+        raise SingularError("singular")
+    return all(sum(a * p for a, p in zip(row, point)) >= 0 for row in binv)
+
+
 def _max_col_norm_sq(rows):
     return max(sum(row[j] ** 2 for row in rows) for j in range(len(rows[0])))
 

@@ -24,7 +24,6 @@ import time
 from fractions import Fraction
 
 from diobox import (
-    EnumerationBudget,
     GenerationFailedError,
     IntMat,
     ProblemInstance,
@@ -34,14 +33,12 @@ from diobox import (
     box_reduce,
     box_shape,
     brauer_G,
-    brute_force_solve,
     deep_cone_condition,
     det_exact,
     frobenius_number_dp,
     gcd_max_minors,
     generate_instance,
     hnf_column,
-    in_cone,
     integer_solution_set,
     lattice_determinant,
     project_drop_m,
@@ -52,7 +49,8 @@ from diobox import (
 )
 from diobox.cli import main as cli_main
 
-from oracles import hnf_shape_ok, integer_feasible_minor_test, minors_gcd
+from brute_force import EnumerationBudget, brute_force_solve
+from oracles import hnf_shape_ok, in_cone, integer_feasible_minor_test, minors_gcd
 
 
 def _line(capsys, num, name, ok, detail=""):

@@ -13,9 +13,10 @@ from diobox import (
     deep_cone_condition,
     det_exact,
     gcd_max_minors,
-    in_cone,
     shifted_cone_condition_m2,
 )
+
+from oracles import in_cone
 
 
 def _random_nonsingular(rng, m, bound=9):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -111,6 +110,15 @@ def test_cli_solve_exit_codes(tmp_path):
         else:
             assert result["status"] == "infeasible"
             assert result["x"] is None
+
+
+def test_cli_singular_basis_cols_are_one_based(tmp_path, capsys):
+    # the error names the columns as the file gives them, 1-based
+    path = _write(tmp_path / "i.json", _inst_json([[0, 1, 2]], [4], basis_cols=[1]))
+    out = tmp_path / "o.json"
+    assert main(["solve", "-i", path, "-o", str(out), "--no-timing"]) == 3
+    assert capsys.readouterr().err == "error: chosen basis columns [1] (1-based) are singular\n"
+    assert not out.exists()
 
 
 def test_cli_solve_timing_toggle(tmp_path):
@@ -317,7 +325,7 @@ def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     real = solver_mod.deep_cone_report
 
     def always_holds(*args):
-        return dataclasses.replace(real(*args), holds=True)
+        return real(*args)._replace(holds=True)
 
     monkeypatch.setattr(solver_mod, "deep_cone_report", always_holds)
     inst = ProblemInstance(a=IntMat([[5, 2, 3]]), b=(1,))

@@ -1,12 +1,8 @@
 import pytest
 
-from diobox import (
-    DimensionMismatchError,
-    EnumerationBudget,
-    IntMat,
-    brute_force_all,
-    brute_force_solve,
-)
+from diobox import DimensionMismatchError, IntMat
+
+from brute_force import EnumerationBudget, brute_force_all, brute_force_solve
 
 
 def test_finds_first_in_lex_order():

@@ -1,0 +1,114 @@
+"""The package's result records are immutable named tuples, and importing
+the command line pulls in neither ``dataclasses`` nor test-only code."""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import diobox
+from diobox import (
+    DimensionMismatchError,
+    IntMat,
+    ProblemInstance,
+    box_reduce,
+    gram_schmidt,
+    hnf_column,
+    integer_solution_set,
+    special_basis,
+)
+from diobox.lattice import kernel_coset
+from diobox.solver import solve_with_conditions
+
+
+def _records():
+    inst = ProblemInstance(a=IntMat([[5, 2, 3]]), b=(1,))
+    outcome, cond = solve_with_conditions(inst)
+    part = cond.partition
+    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    return [
+        inst,
+        outcome,
+        cond,
+        part,
+        cond.report,
+        cond.report.facets[0],
+        integer_solution_set(inst.a, inst.b),
+        special_basis([(2, 0), (1, 3)]),
+        coset,
+        gram_schmidt([(2, 0), (1, 3)]),
+        box_reduce(coset.basis.vectors, coset.point),
+        hnf_column(inst.a),
+    ]
+
+
+RECORDS = _records()
+NAMES = [
+    "ProblemInstance",
+    "SolveOutcome",
+    "Conditions",
+    "BasisPartition",
+    "ConditionReport",
+    "FacetCheck",
+    "AffineLatticeRep",
+    "SpecialBasis",
+    "KernelCoset",
+    "GramSchmidtData",
+    "BoxReduction",
+    "HnfResult",
+]
+
+
+def test_every_record_is_covered():
+    assert [type(r).__name__ for r in RECORDS] == NAMES
+    # the outcome is integer-only, so its report is filled in
+    assert RECORDS[1].report is not None
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=NAMES)
+def test_record_is_immutable(rec):
+    assert isinstance(rec, tuple)
+    for name in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=NAMES)
+def test_record_hash_and_repr(rec):
+    twin = type(rec)(*rec)
+    assert twin == rec and hash(twin) == hash(rec)
+    text = repr(rec)
+    assert text.startswith(type(rec).__name__ + "(")
+    assert all(f"{name}=" in text for name in rec._fields)
+
+
+def test_problem_instance_shape_checks():
+    a = IntMat([[5, 2, 3]])
+    inst = ProblemInstance(a, (4,))
+    assert inst.basis_cols is None and inst == ProblemInstance(a=a, b=(4,), basis_cols=None)
+    with pytest.raises(DimensionMismatchError, match="b has length 2"):
+        ProblemInstance(a=a, b=(4, 5))
+    with pytest.raises(DimensionMismatchError, match="more columns than rows"):
+        ProblemInstance(a=IntMat([[1, 2], [3, 4]]), b=(1, 2))
+    # ``_replace`` goes through the same checks
+    assert inst._replace(basis_cols=(1,)).basis_cols == (1,)
+    with pytest.raises(DimensionMismatchError):
+        inst._replace(b=(1, 2))
+
+
+def test_cli_import_leaves_out_dataclasses_and_oracle():
+    # -I -S: no environment, no site packages, so only the package's own
+    # imports count; -B: write no bytecode next to the sources
+    src = str(pathlib.Path(diobox.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import diobox.cli; "
+        "print(sorted({'dataclasses', 'diobox.oracle'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

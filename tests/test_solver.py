@@ -11,7 +11,6 @@ from diobox import (
     SingularError,
     SolveStatus,
     basis_partition,
-    brute_force_solve,
     deep_cone_condition,
     gcd_max_minors,
     generate_instance,
@@ -21,6 +20,8 @@ from diobox import (
     verify,
 )
 from diobox import cli, gen, lattice, linalg, solver
+
+from brute_force import brute_force_solve
 
 
 def test_select_basis_leftmost():
