@@ -10,9 +10,10 @@ solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
 no entry it handles exceeds D. L' has a unique lower-triangular basis with
 positive diagonal and reduced subdiagonal entries, and reducing a point of
 the coset into the half-open box spanned by the Gram-Schmidt vectors of
-that basis is the core step of the solver. ``integer_solution_set`` and
-``special_basis`` compute the same objects over the integers through
-``hnf_column``.
+that basis is the core step of the solver. ``lift`` carries a point of
+the coset back to a solution through ``adj(B)``; ``integer_solution_set``
+lifts the coset point and the basis of L' that way, and ``special_basis``
+runs ``hnf_mod`` modulo the determinant of its input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, dot, hnf_column, kernel_echelon
+from .linalg import IntMat, adjugate, det_exact, dot, hnf_mod, kernel_echelon, pivot_columns
 
 
 class AffineLatticeRep(NamedTuple):
@@ -32,12 +33,29 @@ class AffineLatticeRep(NamedTuple):
     kernel_basis: tuple[tuple[int, ...], ...]
 
 
+def select_basis_columns(a_mat: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedy leftmost choice of m linearly independent columns.
+
+    Returns the chosen indices and the induced column order (chosen columns
+    first, the rest in original order). When the first m columns already
+    work, the order is the identity.
+
+    Raises:
+        RankDeficientError: if fewer than m independent columns exist.
+    """
+    chosen = pivot_columns(a_mat)
+    if len(chosen) < a_mat.rows:
+        raise RankDeficientError(f"matrix has rank {len(chosen)}, expected {a_mat.rows}")
+    return chosen, chosen + tuple(j for j in range(a_mat.cols) if j not in chosen)
+
+
 def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | None:
     """Describe all integer solutions of ``mat @ x = rhs``.
 
-    Returns None when the system has no integer solution (some staircase
-    pivot fails to divide its back-substituted right-hand side), otherwise a
-    particular solution together with ``n - m`` kernel basis vectors.
+    Returns None when the system has no integer solution, otherwise a
+    particular solution together with ``n - m`` kernel basis vectors: the
+    ``kernel_coset`` point and basis of L' for the leftmost nonsingular
+    column block B, carried back through ``adj(B)`` by ``lift``.
 
     Raises:
         RankDeficientError: if the rows of ``mat`` are linearly dependent.
@@ -46,23 +64,44 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
     m, n = mat.rows, mat.cols
-    res = hnf_column(mat)
-    h, u = res.h, res.u
-    y: list[int] = []
-    for i in range(m):
-        acc = rhs[i] - sum(h[i][j] * y[j] for j in range(i))
-        yi, rem = divmod(acc, h[i][i])
-        if rem:
+    cols, order = select_basis_columns(mat)
+    det, adj = adjugate(mat.select_cols(cols))
+    if m == n:  # no kernel: the one rational solution adj(B) rhs / det B
+        if any(dot(row, rhs) % det for row in adj):
             return None
-        y.append(yi)
-    particular = u.mul_vec(y + [0] * (n - m))
+        n_mat, point, kernel = None, (), ()
+    else:
+        n_mat = mat.select_cols(order[m:])
+        coset = kernel_coset(det, adj, n_mat, rhs)
+        if coset.point is None:
+            return None
+        point = coset.point
+        kernel = tuple(lift(det, adj, n_mat, order, (0,) * m, z) for z in coset.basis.vectors)
+    x = lift(det, adj, n_mat, order, rhs, point)
+    require(mat.mul_vec(x) == tuple(rhs), "particular solution fails mat @ x = rhs", (mat, rhs))
+    return AffineLatticeRep(x, kernel)
+
+
+def lift(det: int, adj, n_mat: IntMat | None, order, rhs, w) -> tuple[int, ...]:
+    """The solution x of ``(B | N) x = rhs`` whose N part is w, in the
+    original column order: ``(det, adj) = adjugate(B)``, ``order`` lists the
+    columns of B and then those of N (``n_mat`` is None when there are
+    none), and the B part is ``u = adj(B) (rhs - N w) / det B``.
+
+    Raises:
+        InternalError: if u is not integral: w is not in the coset of rhs.
+    """
+    residual = tuple(bi - ni for bi, ni in zip(rhs, n_mat.mul_vec(w))) if w else rhs
+    lifted = [divmod(dot(row, residual), det) for row in adj]
     require(
-        mat.mul_vec(particular) == tuple(rhs),
-        "particular solution fails mat @ x = rhs",
-        (mat, rhs),
+        all(r == 0 for _, r in lifted),
+        "lift through the basis is not integral",
+        (det, adj, n_mat, order, rhs, w),
     )
-    kernel = tuple(u.col(j) for j in range(m, n))
-    return AffineLatticeRep(tuple(particular), kernel)
+    x = [0] * len(order)
+    for j, v in zip(order, [u for u, _ in lifted] + list(w)):
+        x[j] = v
+    return tuple(x)
 
 
 def project_drop_m(vectors: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, ...], ...]:
@@ -91,7 +130,8 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
     """Compute the unique reduced lower-triangular basis of a lattice.
 
     ``vectors`` are d linearly independent integer vectors of length d
-    spanning the lattice. The result spans the same lattice.
+    spanning the lattice. The result spans the same lattice. That lattice
+    contains ``|det V| * Z^d``, so ``hnf_mod`` modulo ``|det V|`` finds it.
 
     Raises:
         DimensionMismatchError: if the vectors do not form a square system.
@@ -102,23 +142,10 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
     for i, v in enumerate(vecs):
         if len(v) != d:
             raise DimensionMismatchError(f"vector {i} has length {len(v)}, expected {d}")
-    # Reverse coordinates, take the row-style HNF (transpose of the column
-    # form), then reverse back: the staircase lands on the lower triangle
-    # with the reduction running below the diagonal instead of above it.
-    rev = IntMat([v[::-1] for v in vecs])
-    try:
-        res = hnf_column(rev.transpose())
-    except RankDeficientError as exc:
-        raise SingularError("basis vectors are linearly dependent") from exc
-    hrow = res.h.transpose()
-    out = tuple(tuple(hrow[d - 1 - i][::-1]) for i in range(d))
-    for i, v in enumerate(out):
-        require(
-            v[i] > 0 and not any(v[i + 1 :]) and all(0 <= v[j] < out[j][j] for j in range(i)),
-            "special basis is not reduced lower triangular",
-            vecs,
-        )
-    return SpecialBasis(out)
+    det = det_exact(IntMat(vecs))
+    if not det:
+        raise SingularError("basis vectors are linearly dependent")
+    return SpecialBasis(hnf_mod(vecs, d, abs(det)))
 
 
 class KernelCoset(NamedTuple):

@@ -1,17 +1,19 @@
 """Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision ``int``: the column
-Hermite normal form, and one fraction-free elimination behind determinants,
-rank profiles, adjugates and linear solves. ``fractions.Fraction`` appears
-only in the value ``solve_rational`` returns. There is no floating point and
-no tolerance in this module; equality means equality.
+Everything here runs on Python's arbitrary-precision ``int``: one
+fraction-free elimination behind determinants, rank profiles, adjugates and
+linear solves, and the one Hermite normal form, ``hnf_mod``, which keeps its
+entries reduced modulo a multiple of the lattice determinant.
+``fractions.Fraction`` appears only in the value ``solve_rational``
+returns. There is no floating point and no tolerance in this module;
+equality means equality.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -127,63 +129,6 @@ class IntMat:
 
     def tolist(self) -> list[list[int]]:
         return [list(r) for r in self._data]
-
-
-class HnfResult(NamedTuple):
-    h: IntMat
-    u: IntMat
-
-
-def hnf_column(mat: IntMat) -> HnfResult:
-    """Column-style Hermite normal form with its unimodular transform.
-
-    Returns ``(h, u)`` with ``mat @ u == h`` and ``|det u| = 1``. For a
-    full-row-rank m x n input, ``h`` is ``(L | 0)`` with L lower triangular,
-    positive diagonal, and every entry left of a pivot reduced into
-    ``[0, pivot)``. That shape is unique, so ``h`` is canonical; ``u`` is one
-    valid transform among many.
-
-    Raises:
-        RankDeficientError: if the rows are linearly dependent.
-    """
-    m, n = mat.rows, mat.cols
-    if m > n:
-        raise RankDeficientError(f"a {m}x{n} matrix cannot have full row rank")
-    h = [list(row) for row in mat]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def combine(i: int, j: int, s: int, t: int, p: int, q: int) -> None:
-        # cols (i, j) <- (s*ci + t*cj, q*cj - p*ci); the 2x2 transform has det 1
-        for block in (h, u):
-            for row in block:
-                ci, cj = row[i], row[j]
-                row[i] = s * ci + t * cj
-                row[j] = q * cj - p * ci
-
-    def add_multiple(j: int, i: int, q: int) -> None:
-        # col j -= q * col i
-        if q == 0:
-            return
-        for block in (h, u):
-            for row in block:
-                row[j] -= q * row[i]
-
-    for i in range(m):
-        for j in range(i + 1, n):
-            if h[i][j] == 0:
-                continue
-            a, b = h[i][i], h[i][j]
-            g, s, t = xgcd(a, b)
-            combine(i, j, s, t, b // g, a // g)
-        if h[i][i] < 0:
-            for block in (h, u):
-                for row in block:
-                    row[i] = -row[i]
-        if h[i][i] == 0:
-            raise RankDeficientError("rows are linearly dependent")
-        for j in range(i):
-            add_multiple(j, i, h[i][j] // h[i][i])
-    return HnfResult(IntMat(h), IntMat(u))
 
 
 def _eliminate(a: list[list[int]], width: int) -> tuple[list[int], int]:

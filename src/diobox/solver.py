@@ -19,9 +19,9 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
-from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .lattice import box_reduce, kernel_coset, lattice_determinant
-from .linalg import IntMat, adjugate, dot, kernel_echelon, pivot_columns
+from .errors import DimensionMismatchError, SingularError, require
+from .lattice import box_reduce, kernel_coset, lattice_determinant, lift, select_basis_columns
+from .linalg import IntMat, adjugate, kernel_echelon
 
 
 class _InstanceFields(NamedTuple):
@@ -90,22 +90,6 @@ class Conditions(NamedTuple):
     report: ConditionReport
 
 
-def select_basis_columns(a_mat: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy leftmost choice of m linearly independent columns.
-
-    Returns the chosen indices and the induced column order (chosen columns
-    first, the rest in original order). When the first m columns already
-    work, the order is the identity.
-
-    Raises:
-        RankDeficientError: if fewer than m independent columns exist.
-    """
-    chosen = pivot_columns(a_mat)
-    if len(chosen) < a_mat.rows:
-        raise RankDeficientError(f"matrix has rank {len(chosen)}, expected {a_mat.rows}")
-    return chosen, chosen + tuple(j for j in range(a_mat.cols) if j not in chosen)
-
-
 def basis_partition(inst: ProblemInstance) -> BasisPartition:
     """Resolve the basis block of an instance, honoring an explicit choice.
 
@@ -149,14 +133,7 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
     require(box <= lattice_determinant(basis), "box-reduced point outside the box", inst)
-    residual = tuple(bi - ni for bi, ni in zip(inst.b, part.n_mat.mul_vec(w)))
-    # u = B^-1 residual = adj(B) residual / det B, an exact division
-    lifted = [divmod(dot(row, residual), part.det) for row in part.adj]
-    require(all(r == 0 for _, r in lifted), "lift through the basis is not integral", inst)
-    x = [0] * a.cols
-    for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
-        x[j] = v
-    x = tuple(x)
+    x = lift(part.det, part.adj, part.n_mat, part.order, inst.b, w)
     require(a.mul_vec(x) == inst.b, "witness fails A x = b", inst)
     if all(e >= 0 for e in x):
         return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd

@@ -1,15 +1,26 @@
 """Independent reference implementations used only to cross-check the
 package. Everything here is deliberately naive: cofactor expansion, full
-minor enumeration, boolean reachability tables, and the ``Fraction``
-Gauss-Jordan eliminations the package used before its fraction-free core.
-Nothing imports from the package's internals beyond plain data and its
-exception types."""
+minor enumeration, boolean reachability tables, the ``Fraction``
+Gauss-Jordan eliminations the package used before its fraction-free core,
+and the column Hermite normal form over the integers that the package used
+before it worked modulo |det B|. Nothing imports from the package's
+internals beyond plain data (``IntMat`` and the result records), ``xgcd``
+and its exception types."""
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple, Sequence
 
-from diobox.errors import DimensionMismatchError, NotSquareError, SingularError
+from diobox.errors import (
+    DimensionMismatchError,
+    NotSquareError,
+    RankDeficientError,
+    SingularError,
+    require,
+)
+from diobox.lattice import AffineLatticeRep, SpecialBasis
+from diobox.linalg import IntMat, xgcd
 
 
 def det_cofactor(rows):
@@ -190,3 +201,127 @@ def shifted_cone_reference(a_rows, b_rows, n_rows, rhs):
     facets = _facets(binv, rhs, [lb_ln * c * c for c in cs])
     holds = all(nonneg and lhs >= rhs_sq for lhs, rhs_sq, nonneg in facets)
     return holds, lb_ln * factor * factor, facets
+
+
+class HnfResult(NamedTuple):
+    h: IntMat
+    u: IntMat
+
+
+def hnf_column(mat: IntMat) -> HnfResult:
+    """Column-style Hermite normal form with its unimodular transform.
+
+    Returns ``(h, u)`` with ``mat @ u == h`` and ``|det u| = 1``. For a
+    full-row-rank m x n input, ``h`` is ``(L | 0)`` with L lower triangular,
+    positive diagonal, and every entry left of a pivot reduced into
+    ``[0, pivot)``. That shape is unique, so ``h`` is canonical; ``u`` is one
+    valid transform among many.
+
+    Raises:
+        RankDeficientError: if the rows are linearly dependent.
+    """
+    m, n = mat.rows, mat.cols
+    if m > n:
+        raise RankDeficientError(f"a {m}x{n} matrix cannot have full row rank")
+    h = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def combine(i: int, j: int, s: int, t: int, p: int, q: int) -> None:
+        # cols (i, j) <- (s*ci + t*cj, q*cj - p*ci); the 2x2 transform has det 1
+        for block in (h, u):
+            for row in block:
+                ci, cj = row[i], row[j]
+                row[i] = s * ci + t * cj
+                row[j] = q * cj - p * ci
+
+    def add_multiple(j: int, i: int, q: int) -> None:
+        # col j -= q * col i
+        if q == 0:
+            return
+        for block in (h, u):
+            for row in block:
+                row[j] -= q * row[i]
+
+    for i in range(m):
+        for j in range(i + 1, n):
+            if h[i][j] == 0:
+                continue
+            a, b = h[i][i], h[i][j]
+            g, s, t = xgcd(a, b)
+            combine(i, j, s, t, b // g, a // g)
+        if h[i][i] < 0:
+            for block in (h, u):
+                for row in block:
+                    row[i] = -row[i]
+        if h[i][i] == 0:
+            raise RankDeficientError("rows are linearly dependent")
+        for j in range(i):
+            add_multiple(j, i, h[i][j] // h[i][i])
+    return HnfResult(IntMat(h), IntMat(u))
+
+
+def integer_solution_set_hnf(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | None:
+    """Describe all integer solutions of ``mat @ x = rhs``.
+
+    Returns None when the system has no integer solution (some staircase
+    pivot fails to divide its back-substituted right-hand side), otherwise a
+    particular solution together with ``n - m`` kernel basis vectors.
+
+    Raises:
+        RankDeficientError: if the rows of ``mat`` are linearly dependent.
+        DimensionMismatchError: if ``rhs`` has the wrong length.
+    """
+    if len(rhs) != mat.rows:
+        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
+    m, n = mat.rows, mat.cols
+    res = hnf_column(mat)
+    h, u = res.h, res.u
+    y: list[int] = []
+    for i in range(m):
+        acc = rhs[i] - sum(h[i][j] * y[j] for j in range(i))
+        yi, rem = divmod(acc, h[i][i])
+        if rem:
+            return None
+        y.append(yi)
+    particular = u.mul_vec(y + [0] * (n - m))
+    require(
+        mat.mul_vec(particular) == tuple(rhs),
+        "particular solution fails mat @ x = rhs",
+        (mat, rhs),
+    )
+    kernel = tuple(u.col(j) for j in range(m, n))
+    return AffineLatticeRep(tuple(particular), kernel)
+
+
+def special_basis_hnf(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
+    """Compute the unique reduced lower-triangular basis of a lattice.
+
+    ``vectors`` are d linearly independent integer vectors of length d
+    spanning the lattice. The result spans the same lattice.
+
+    Raises:
+        DimensionMismatchError: if the vectors do not form a square system.
+        SingularError: if the vectors are linearly dependent.
+    """
+    vecs = [tuple(v) for v in vectors]
+    d = len(vecs)
+    for i, v in enumerate(vecs):
+        if len(v) != d:
+            raise DimensionMismatchError(f"vector {i} has length {len(v)}, expected {d}")
+    # Reverse coordinates, take the row-style HNF (transpose of the column
+    # form), then reverse back: the staircase lands on the lower triangle
+    # with the reduction running below the diagonal instead of above it.
+    rev = IntMat([v[::-1] for v in vecs])
+    try:
+        res = hnf_column(rev.transpose())
+    except RankDeficientError as exc:
+        raise SingularError("basis vectors are linearly dependent") from exc
+    hrow = res.h.transpose()
+    out = tuple(tuple(hrow[d - 1 - i][::-1]) for i in range(d))
+    for i, v in enumerate(out):
+        require(
+            v[i] > 0 and not any(v[i + 1 :]) and all(0 <= v[j] < out[j][j] for j in range(i)),
+            "special basis is not reduced lower triangular",
+            vecs,
+        )
+    return SpecialBasis(out)

@@ -38,7 +38,6 @@ from diobox import (
     frobenius_number_dp,
     gcd_max_minors,
     generate_instance,
-    hnf_column,
     integer_solution_set,
     lattice_determinant,
     project_drop_m,
@@ -50,7 +49,15 @@ from diobox import (
 from diobox.cli import main as cli_main
 
 from brute_force import EnumerationBudget, brute_force_solve
-from oracles import hnf_shape_ok, in_cone, integer_feasible_minor_test, minors_gcd
+from oracles import (
+    hnf_column,
+    hnf_shape_ok,
+    in_cone,
+    integer_feasible_minor_test,
+    integer_solution_set_hnf,
+    minors_gcd,
+    special_basis_hnf,
+)
 
 
 def _line(capsys, num, name, ok, detail=""):
@@ -158,15 +165,16 @@ def _coprime_vectors():
 
 
 def _reduction(inst):
-    """Re-run the projection/reduction pipeline the solver uses, returning
-    the triangular basis and the reduced point, or None when the instance
-    has no integer solution (no reduction happens then)."""
+    """Re-run the projection/reduction pipeline the solver uses on the
+    integer ``hnf_column`` route, returning the triangular basis and the
+    reduced point, or None when the instance has no integer solution (no
+    reduction happens then)."""
     part = basis_partition(inst)
-    rep = integer_solution_set(inst.a.select_cols(part.order), inst.b)
+    rep = integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     if rep is None:
         return None
     m = inst.a.rows
-    basis = special_basis(project_drop_m(rep.kernel_basis, m))
+    basis = special_basis_hnf(project_drop_m(rep.kernel_basis, m))
     red = box_reduce(basis.vectors, rep.particular[m:])
     return basis, red
 
@@ -263,8 +271,9 @@ def test_criterion_4_determinant_identity(capsys):
     for inst in insts:
         part = basis_partition(inst)
         zero = (0,) * inst.a.rows
-        rep = integer_solution_set(inst.a.select_cols(part.order), zero)
-        basis = special_basis(project_drop_m(rep.kernel_basis, inst.a.rows))
+        # the kernel lattice on the integer route, independent of the gcd
+        rep = integer_solution_set_hnf(inst.a.select_cols(part.order), zero)
+        basis = special_basis_hnf(project_drop_m(rep.kernel_basis, inst.a.rows))
         lhs = lattice_determinant(basis) * gcd_max_minors(inst.a)
         if lhs != abs(det_exact(part.b_mat)):
             bad.append(inst)

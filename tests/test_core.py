@@ -1,7 +1,8 @@
 """The fraction-free elimination core against the Fraction eliminations it
 replaced (kept in ``oracles.py``), on random square and wide matrices that
 include singular and rank-deficient ones; and the lattice work modulo
-|det B| against the ``hnf_column`` route it replaced."""
+|det B| against the integer ``hnf_column`` route it replaced (kept there
+too)."""
 
 import math
 import random
@@ -22,7 +23,6 @@ from diobox import (
     deep_cone_condition,
     det_exact,
     gcd_max_minors,
-    hnf_column,
     integer_solution_set,
     project_drop_m,
     select_basis_columns,
@@ -39,10 +39,13 @@ from oracles import (
     deep_cone_reference,
     det_cofactor,
     echelon_pivots,
+    hnf_column,
+    integer_solution_set_hnf,
     inverse_rational,
     minors_gcd,
     shifted_cone_reference,
     solve_fraction,
+    special_basis_hnf,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -216,11 +219,12 @@ def test_hnf_mod_matches_integer_hnf(data):
 
 def _routes_agree(inst, oracle_gcd=True):
     """Compare the modular route with the hnf_column route on one instance;
-    return whether the instance is integer feasible."""
+    return the box-reduced free part w of the hnf_column route, None when
+    the instance has no integer solution."""
     part = basis_partition(inst)
     m, d = inst.a.rows, abs(part.det)
     coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
-    rep = integer_solution_set(inst.a.select_cols(part.order), inst.b)
+    rep = integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     assert (coset.point is None) == (rep is None)
     # the gcd, for infeasible instances too
     assert coset.gcd == math.prod(hnf_column(inst.a).h[i][i] for i in range(m))
@@ -231,12 +235,69 @@ def _routes_agree(inst, oracle_gcd=True):
     for i, v in enumerate(basis):
         assert d % v[i] == 0 and all(0 <= e < d for e in v[:i])
     if rep is None:
-        return False
+        return None
     assert all(0 <= e < d for e in coset.point)
-    want = special_basis(project_drop_m(rep.kernel_basis, m))
+    want = special_basis_hnf(project_drop_m(rep.kernel_basis, m))
     assert basis == want.vectors
-    assert box_reduce(basis, coset.point).w == box_reduce(basis, rep.particular[m:]).w
-    return True
+    w = box_reduce(want.vectors, rep.particular[m:]).w
+    assert box_reduce(basis, coset.point).w == w
+    return tuple(int(f) for f in w)
+
+
+@SETTINGS
+@given(st.data())
+def test_special_basis_matches_integer_hnf(data):
+    d = data.draw(st.integers(1, 6))
+    vecs = data.draw(st.lists(_vector(d), min_size=d, max_size=d))
+    # negating one vector keeps the lattice and flips the sign of det V
+    flipped = [[-e for e in vecs[0]]] + vecs[1:]
+    if det_cofactor(vecs) == 0:
+        for fn in (special_basis, special_basis_hnf):
+            with pytest.raises(SingularError):
+                fn(vecs)
+        return
+    want = special_basis_hnf(vecs)
+    assert special_basis(vecs) == want == special_basis(flipped)
+
+
+@SETTINGS
+@given(st.data())
+def test_integer_solution_set_matches_integer_hnf(data):
+    # square and dependent systems included; b is A x for an integer x half
+    # of the time, and sometimes of the wrong length
+    rows = data.draw(matrices())
+    m, n = len(rows), len(rows[0])
+    mat = IntMat(rows)
+    if data.draw(st.booleans()):
+        b = mat.mul_vec(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    else:
+        b = tuple(data.draw(_vector(data.draw(st.sampled_from([m, m, m, m + 1])))))
+    try:
+        want = integer_solution_set_hnf(mat, b)
+    except (RankDeficientError, DimensionMismatchError) as exc:
+        with pytest.raises(type(exc)):
+            integer_solution_set(mat, b)
+        return
+    got = integer_solution_set(mat, b)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert mat.mul_vec(got.particular) == b
+    assert len(got.kernel_basis) == n - m
+    assert all(mat.mul_vec(v) == (0,) * m for v in got.kernel_basis)
+    diff = tuple(p - q for p, q in zip(got.particular, want.particular))
+    assert mat.mul_vec(diff) == (0,) * m
+    if m == n:
+        assert diff == (0,) * n
+        return
+    # dropping the basis coordinates maps the kernel lattice one to one onto
+    # L', so equal special bases mean both kernel bases span the same
+    # lattice; and the difference of the particulars lies in it
+    order = select_basis_columns(mat)[1]
+    lattice = special_basis(project_drop_m([[v[j] for j in order] for v in got.kernel_basis], m))
+    ref = project_drop_m([[v[j] for j in order] for v in want.kernel_basis], m)
+    assert lattice == special_basis_hnf(ref)
+    assert not any(box_reduce(lattice.vectors, [diff[j] for j in order[m:]]).w)
 
 
 @st.composite
@@ -287,7 +348,7 @@ def test_modular_route_unimodular_basis(data):
     inst = ProblemInstance(a=IntMat(rows), b=tuple(data.draw(_vector(m))), basis_cols=tuple(range(m)))
     part = basis_partition(inst)
     assert part.det == 1
-    assert _routes_agree(inst)
+    assert _routes_agree(inst) is not None
     coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
     assert coset.point == (0,) * k and coset.gcd == 1
 
@@ -309,19 +370,28 @@ def test_modular_route_examples(rows, b, cols):
 
 @pytest.mark.parametrize("seed,feasible", [(11, True), (12, False)])
 def test_modular_route_large_system(seed, feasible):
-    # m = 10, n = 20, entries +-1000; the infeasible one has A even and b odd
+    # shaped like the hnf_growth benchmark: m = 10, 11, 12, n = 2m, entries
+    # +-1000; the infeasible ones have A even and b[0] odd. solve's status
+    # and box-reduced free part match the hnf_column route
     rng = random.Random(seed)
-    rows = [[rng.randint(-1000, 1000) for _ in range(20)] for _ in range(10)]
-    if not feasible:
-        rows = [[2 * e for e in row] for row in rows]
-    a = IntMat(rows)
-    b = a.mul_vec([rng.randint(0, 5) for _ in range(20)])
-    if not feasible:
-        b = (b[0] + 1,) + b[1:]
-    inst = ProblemInstance(a=a, b=b)
-    assert abs(basis_partition(inst).det).bit_length() > 100
-    assert _routes_agree(inst, oracle_gcd=False) == feasible
-    assert (solve(inst).status == SolveStatus.INFEASIBLE) != feasible
+    for m in (10, 11, 12):
+        n = 2 * m
+        rows = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+        if not feasible:
+            rows = [[2 * e for e in row] for row in rows]
+        a = IntMat(rows)
+        b = a.mul_vec([rng.randint(0, 5) for _ in range(n)])
+        if not feasible:
+            b = (b[0] + 1,) + b[1:]
+        inst = ProblemInstance(a=a, b=b)
+        part = basis_partition(inst)
+        assert abs(part.det).bit_length() > 100
+        want = _routes_agree(inst, oracle_gcd=False)
+        assert (want is not None) == feasible
+        out = solve(inst)
+        assert (out.status == SolveStatus.INFEASIBLE) != feasible
+        got = None if out.x is None else tuple(out.x[j] for j in part.order[m:])
+        assert got == want
 
 
 @SETTINGS

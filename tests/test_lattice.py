@@ -20,6 +20,8 @@ from diobox import (
 )
 from diobox.linalg import dot
 
+from oracles import integer_solution_set_hnf, special_basis_hnf
+
 
 def _random_full_rank(rng, m, n, bound=9):
     while True:
@@ -66,6 +68,15 @@ def test_integer_solution_set_two_rows():
     assert a.mul_vec(rep.particular) == (2, 2)
     assert len(rep.kernel_basis) == 1
     assert rep.kernel_basis[0] in ((-1, -1, 1), (1, 1, -1))
+
+
+def test_integer_solution_set_square():
+    # m == n: no kernel, and at most one solution, adj(B) b / det B
+    a = IntMat([[1, 2], [1, 1]])  # det -1
+    rep = integer_solution_set(a, (5, 3))
+    assert rep == ((1, 2), ()) == integer_solution_set_hnf(a, (5, 3))
+    assert integer_solution_set(IntMat([[2, 0], [0, 2]]), (1, 0)) is None
+    assert integer_solution_set(IntMat([[2, 0], [0, 2]]), (4, -2)) == ((2, -1), ())
 
 
 def test_integer_solution_set_errors():
@@ -306,9 +317,11 @@ def test_determinant_identity_through_pipeline():
         a = _random_full_rank(rng, m, n)
         if det_exact(a.select_cols(range(m))) == 0:
             continue
-        rep = integer_solution_set(a, (0,) * m)
+        # the lattice on the integer route: the modular one is built from
+        # the gcd, so only an independent route makes this a check
+        rep = integer_solution_set_hnf(a, (0,) * m)
         proj = project_drop_m(rep.kernel_basis, m)
-        sb = special_basis(proj)
+        sb = special_basis_hnf(proj)
         lhs = lattice_determinant(sb) * gcd_max_minors(a)
         rhs = abs(det_exact(a.select_cols(range(m))))
         assert lhs == rhs

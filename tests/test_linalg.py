@@ -13,11 +13,10 @@ from diobox import (
     det_exact,
     gcd_max_minors,
     adjugate,
-    hnf_column,
     solve_rational,
     xgcd,
 )
-from oracles import det_cofactor, hnf_shape_ok, inverse_rational, minors_gcd
+from oracles import det_cofactor, hnf_column, hnf_shape_ok, inverse_rational, minors_gcd
 
 
 def test_xgcd_basics():

@@ -14,7 +14,6 @@ from diobox import (
     ProblemInstance,
     box_reduce,
     gram_schmidt,
-    hnf_column,
     integer_solution_set,
     special_basis,
 )
@@ -39,7 +38,6 @@ def _records():
         coset,
         gram_schmidt([(2, 0), (1, 3)]),
         box_reduce(coset.basis.vectors, coset.point),
-        hnf_column(inst.a),
     ]
 
 
@@ -56,7 +54,6 @@ NAMES = [
     "KernelCoset",
     "GramSchmidtData",
     "BoxReduction",
-    "HnfResult",
 ]
 
 

@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
+import diobox
 from diobox import (
     DimensionMismatchError,
     IntMat,
@@ -14,13 +16,13 @@ from diobox import (
     deep_cone_condition,
     gcd_max_minors,
     generate_instance,
-    integer_solution_set,
     select_basis_columns,
     solve,
     verify,
 )
-from diobox import cli, gen, lattice, linalg, solver
+from diobox import cli, lattice
 
+import oracles
 from brute_force import brute_force_solve
 
 
@@ -137,7 +139,7 @@ def test_solutions_always_verify():
         except RankDeficientError:
             continue
         if out.status == SolveStatus.INFEASIBLE:
-            assert integer_solution_set(a, b) is None
+            assert oracles.integer_solution_set_hnf(a, b) is None
         else:
             assert a.mul_vec(out.x) == b
             if out.status == SolveStatus.NONNEGATIVE:
@@ -202,10 +204,11 @@ def test_boundary_mode_solvable():
 
 
 # solve(), the CLI's solve, check, bounds and gen, and gcd_max_minors work
-# modulo |det B| and never run hnf_column. The last column counts the
-# hnf_column runs of the integer route they replaced (integer_solution_set
-# for feasibility, special_basis for the lattice of a feasible instance),
-# which the tests below run afterwards as a reference for the witness.
+# modulo |det B|, and hnf_mod is the package's only Hermite normal form. The
+# last column counts the hnf_column runs of the integer route they replaced
+# (integer_solution_set for feasibility, special_basis for the lattice of a
+# feasible instance), which ``tests/oracles.py`` keeps and the tests below
+# run afterwards as a reference for the witness.
 HNF_CASES = [
     ([[5, 2, 3]], (4,), "nonnegative", 2),
     ([[5, 2, 3]], (1,), "integer_only", 2),
@@ -217,28 +220,34 @@ HNF_CASES = [
 
 @pytest.fixture
 def hnf_calls(monkeypatch):
-    # count every hnf_column call, whichever module makes it
+    # count the hnf_column runs of the reference route
     calls = []
-    real = linalg.hnf_column
+    real = oracles.hnf_column
 
     def counted(mat):
         calls.append(mat)
         return real(mat)
 
-    for mod in (linalg, lattice, solver, gen, cli):
-        if hasattr(mod, "hnf_column"):
-            monkeypatch.setattr(mod, "hnf_column", counted)
+    monkeypatch.setattr(oracles, "hnf_column", counted)
     return calls
+
+
+def _assert_no_integer_hnf():
+    loaded = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "diobox"}
+    core = ("cli", "gen", "lattice", "linalg", "solver")
+    assert {f"diobox.{name}" for name in core} <= set(loaded)
+    assert not [name for name, mod in loaded.items() if hasattr(mod, "hnf_column")]
+    assert "hnf_column" not in diobox.__all__ and "HnfResult" not in diobox.__all__
 
 
 def _reference_free_part(inst):
     # the box-reduced free part w by the hnf_column route, None if infeasible
     part = basis_partition(inst)
     m = inst.a.rows
-    rep = integer_solution_set(inst.a.select_cols(part.order), inst.b)
+    rep = oracles.integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     if rep is None:
         return None
-    basis = lattice.special_basis(lattice.project_drop_m(rep.kernel_basis, m))
+    basis = oracles.special_basis_hnf(lattice.project_drop_m(rep.kernel_basis, m))
     return tuple(int(f) for f in lattice.box_reduce(basis.vectors, rep.particular[m:]).w)
 
 
@@ -251,9 +260,8 @@ def test_hnf_runs_per_solve(rows, b, status, ref_calls, hnf_calls):
     inst = ProblemInstance(a=IntMat(rows), b=b)
     out = solve(inst)
     assert out.status.value == status
-    assert len(hnf_calls) == 0
     gcd_max_minors(inst.a)
-    assert len(hnf_calls) == 0
+    _assert_no_integer_hnf()
     assert _reference_free_part(inst) == _free_part(inst, out.x)
     assert len(hnf_calls) == ref_calls
 
@@ -270,7 +278,7 @@ def test_hnf_runs_per_cli_solve(rows, b, status, ref_calls, hnf_calls, tmp_path,
     m, n = len(rows), len(rows[0])
     assert cli.main(["gen", "--m", str(m), "--n", str(n), "--seed", "1", "--mode", "deep"]) == 0
     capsys.readouterr()
-    assert len(hnf_calls) == 0
+    _assert_no_integer_hnf()
     inst = ProblemInstance(a=IntMat(rows), b=b)
     x = None if result["x"] is None else [int(e) for e in result["x"]]
     assert _reference_free_part(inst) == _free_part(inst, x)
