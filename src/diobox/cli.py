@@ -10,6 +10,7 @@ strings; see the io module for the exact shape.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -21,14 +22,15 @@ from .cone import (
     ConditionReport,
     aliev_henk_p,
     aliev_henk_t_bound,
+    approx_sqrt,
     max_col_norm_squared,
     shifted_cone_condition_m2,
 )
 from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
 from .gen import MODES, generate_instance
+from .lattice import BasisPartition
 from .solver import (
-    BasisPartition,
     Conditions,
     ProblemInstance,
     SolveStatus,
@@ -109,6 +111,22 @@ def _result_obj(inst, outcome, cond, elapsed) -> dict:
     return obj
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    # a result can be longer than the interpreter's int/str digit limit, so
+    # the limit is lifted while a result is formatted; input parsing keeps it
+    # (exit 3). Interpreters before 3.10.7 have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         iomod.write_text(output, text)
@@ -131,7 +149,8 @@ def _solve_single(path: str, output: str | None, with_timing: bool) -> int:
     t0 = time.monotonic()
     outcome, cond = solve_with_conditions(inst)
     elapsed = time.monotonic() - t0 if with_timing else None
-    _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
+    with _unlimited_digits():
+        _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
     return _EXIT[outcome.status]
 
 
@@ -161,9 +180,11 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     inst = iomod.load_instance(args.instance)
-    obj = _condition_sections(inst, conditions(inst))
-    obj["projection_bound"] = {"approx": True, "value": aliev_henk_t_bound(inst.a)}
-    _emit(iomod.dumps_canonical(obj), args.output)
+    cond = conditions(inst)
+    with _unlimited_digits():
+        obj = _condition_sections(inst, cond)
+        obj["projection_bound"] = {"approx": True, "value": aliev_henk_t_bound(inst.a)}
+        _emit(iomod.dumps_canonical(obj), args.output)
     return 0
 
 
@@ -171,24 +192,26 @@ def cmd_gen(args) -> int:
     inst = generate_instance(
         m=args.m, n=args.n, seed=args.seed, mode=args.mode, max_entry=args.max_entry
     )
-    _emit(iomod.dumps_canonical(iomod.instance_to_obj(inst)), args.output)
+    with _unlimited_digits():
+        _emit(iomod.dumps_canonical(iomod.instance_to_obj(inst)), args.output)
     return 0
 
 
 def cmd_frobenius(args) -> int:
     entries = tuple(args.entries)
     chain = f_chain(entries)
-    obj = {
-        "entries": [str(e) for e in entries],
-        "f_chain": [str(e) for e in chain],
-        "G": str(brauer_G(entries)),
-    }
-    try:
-        obj["F"] = str(frobenius_number_dp(entries, cap=args.cap))
-    except CapExceededError:
-        obj["F"] = None
-        obj["note"] = f"smallest entry exceeds cap {args.cap}"
-    _emit(iomod.dumps_canonical(obj), args.output)
+    with _unlimited_digits():
+        obj = {
+            "entries": [str(e) for e in entries],
+            "f_chain": [str(e) for e in chain],
+            "G": str(brauer_G(entries)),
+        }
+        try:
+            obj["F"] = str(frobenius_number_dp(entries, cap=args.cap))
+        except CapExceededError:
+            obj["F"] = None
+            obj["note"] = f"smallest entry exceeds cap {args.cap}"
+        _emit(iomod.dumps_canonical(obj), args.output)
     return 0
 
 
@@ -215,24 +238,25 @@ def cmd_bounds(args) -> int:
     cond = conditions(inst)
     part = cond.partition
     t_sq = cond.report.threshold_squared
-    obj = {
-        "basis_cols": [c + 1 for c in part.basis_cols],
-        "det_b": str(part.det),
-        "gcd": str(cond.gcd),
-        "lattice_determinant": str(Fraction(abs(part.det), cond.gcd)),
-        "l_b_squared": str(max_col_norm_squared(part.b_mat)),
-        "l_n_squared": str(max_col_norm_squared(part.n_mat)),
-        "deep_threshold_squared": str(t_sq),
-        "deep_threshold": {"approx": True, "value": math.sqrt(float(t_sq))},
-        "projection_bound": {"approx": True, "value": aliev_henk_t_bound(inst.a)},
-        "p_factor": {"approx": True, "value": aliev_henk_p(inst.a.rows, inst.a.cols)},
-        "hermite_constant_threshold": "not evaluated",
-    }
-    if inst.a.rows == 2:
-        shifted = _shifted_section(inst, part)
-        if shifted["applicable"]:
-            obj["shift_squared"] = shifted["shift_squared"]
-    _emit(iomod.dumps_canonical(obj), args.output)
+    with _unlimited_digits():
+        obj = {
+            "basis_cols": [c + 1 for c in part.basis_cols],
+            "det_b": str(part.det),
+            "gcd": str(cond.gcd),
+            "lattice_determinant": str(Fraction(abs(part.det), cond.gcd)),
+            "l_b_squared": str(max_col_norm_squared(part.b_mat)),
+            "l_n_squared": str(max_col_norm_squared(part.n_mat)),
+            "deep_threshold_squared": str(t_sq),
+            "deep_threshold": {"approx": True, "value": approx_sqrt(*t_sq.as_integer_ratio())},
+            "projection_bound": {"approx": True, "value": aliev_henk_t_bound(inst.a)},
+            "p_factor": {"approx": True, "value": aliev_henk_p(inst.a.rows, inst.a.cols)},
+            "hermite_constant_threshold": "not evaluated",
+        }
+        if inst.a.rows == 2:
+            shifted = _shifted_section(inst, part)
+            if shifted["applicable"]:
+                obj["shift_squared"] = shifted["shift_squared"]
+        _emit(iomod.dumps_canonical(obj), args.output)
     return 0
 
 

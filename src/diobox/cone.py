@@ -48,8 +48,8 @@ class ConditionReport(NamedTuple):
 
 
 def max_col_norm_squared(mat: IntMat) -> int:
-    """Largest squared Euclidean column norm."""
-    return max(sum(e * e for e in mat.col(j)) for j in range(mat.cols))
+    """Largest squared Euclidean column norm; 0 for a matrix with no columns."""
+    return max((sum(e * e for e in mat.col(j)) for j in range(mat.cols)), default=0)
 
 
 def cone_coords(
@@ -155,16 +155,32 @@ def _facet_report(coords, d: int, nums, den: int, threshold: Fraction) -> Condit
     )
 
 
+def approx_sqrt(num: int, den: int = 1) -> float | None:
+    """``sqrt(num / den)`` as a float, or None when it exceeds the largest
+    double; ``num >= 0`` and ``den > 0`` are integers of any size.
+
+    The root is taken before the value has to fit a double: a quotient above
+    2^1000 is divided by a power of 4, ``4^k``, and ``ldexp`` multiplies its
+    root by ``2^k``. Below that it is ``math.sqrt(num / den)`` itself.
+    """
+    k = max(0, num.bit_length() - den.bit_length() - 1000) // 2
+    try:
+        return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
+    except OverflowError:
+        return None
+
+
 def aliev_henk_p(m: int, n: int) -> float:
     """Dimension factor sqrt((n - m) * n / 2) used by the diagnostic bound."""
     return math.sqrt((n - m) * n / 2)
 
 
-def aliev_henk_t_bound(a_mat: IntMat) -> float:
+def aliev_henk_t_bound(a_mat: IntMat) -> float | None:
     """Approximate upper bound 2^((n-m)/2 - 1) * p(m, n) * sqrt(det(A A^T)).
 
     Purely diagnostic: a float estimate of how deep the guaranteed region
-    sits, never used on any decision path.
+    sits, never used on any decision path. None when the bound exceeds the
+    largest double.
 
     Raises:
         RankDeficientError: if the rows are linearly dependent.
@@ -173,4 +189,11 @@ def aliev_henk_t_bound(a_mat: IntMat) -> float:
     gram = det_exact(a_mat @ a_mat.transpose())
     if gram <= 0:
         raise RankDeficientError("rows are linearly dependent")
-    return 2.0 ** ((n - m) / 2 - 1) * aliev_henk_p(m, n) * math.sqrt(gram)
+    root = approx_sqrt(gram)
+    if root is None:
+        return None
+    try:
+        value = 2.0 ** ((n - m) / 2 - 1) * aliev_henk_p(m, n) * root
+    except OverflowError:  # 2^((n-m)/2 - 1) alone is beyond a double
+        return None
+    return value if math.isfinite(value) else None

@@ -7,7 +7,8 @@ import random
 
 from .cone import cone_coords, deep_cone_report, max_col_norm_squared
 from .errors import GenerationFailedError, require
-from .linalg import IntMat, adjugate, det_exact, dot, kernel_echelon
+from .lattice import partition
+from .linalg import IntMat, det_exact, dot, kernel_echelon
 from .solver import ProblemInstance
 
 MODES = ("feasible", "deep", "boundary")
@@ -26,11 +27,8 @@ def push_into_deep_cone(a_mat: IntMat, b: tuple[int, ...]) -> tuple[int, ...]:
     g the gcd), facet i needs ``g (p_i + k_i D) >= r_i`` with ``r_i`` the
     ceiling of ``sqrt(l_N^2 (D - g)^2 ||adj_i||^2)``.
     """
-    m = a_mat.rows
-    b_mat = a_mat.select_cols(range(m))
-    n_mat = a_mat.select_cols(range(m, a_mat.cols))
-    det, adj = adjugate(b_mat)
-    gcd_a = kernel_echelon(det, adj, tuple(zip(*n_mat)))[1]
+    _, _, b_mat, n_mat, det, adj = partition(a_mat, range(a_mat.rows))
+    gcd_a = kernel_echelon(det, adj, n_mat)[1]
     d = abs(det)
     scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2
     shift = []

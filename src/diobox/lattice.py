@@ -2,7 +2,8 @@
 
 The integer solutions of ``A x = b`` (A integer, full row rank m, n columns)
 form either the empty set or an affine lattice ``r + L`` where L is the rank
-``n - m`` kernel lattice of A. With A = (B | N) and B nonsingular, dropping
+``n - m`` kernel lattice of A. ``partition`` splits A = (B | N) with B
+nonsingular for every caller; N has no columns when A is square. Dropping
 the m coordinates of B maps L bijectively onto the full-rank lattice
 ``L' = {z in Z^(n-m) : adj(B) N z = 0 (mod D)}``, D = |det B|, and the
 solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
@@ -22,8 +23,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, adjugate, det_exact, dot, hnf_mod, kernel_echelon, pivot_columns
+from .errors import DimensionMismatchError, SingularError, require
+from .linalg import IntMat, adjugate, basis_adjugate, det_exact, dot, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(NamedTuple):
@@ -33,20 +34,61 @@ class AffineLatticeRep(NamedTuple):
     kernel_basis: tuple[tuple[int, ...], ...]
 
 
-def select_basis_columns(a_mat: IntMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy leftmost choice of m linearly independent columns.
+class BasisPartition(NamedTuple):
+    """Basis column indices, the induced column order (basis first), the
+    corresponding blocks of A, and ``(det, adj) = adjugate(b_mat)``."""
 
-    Returns the chosen indices and the induced column order (chosen columns
-    first, the rest in original order). When the first m columns already
-    work, the order is the identity.
+    basis_cols: tuple[int, ...]
+    order: tuple[int, ...]
+    b_mat: IntMat
+    n_mat: IntMat
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+
+
+def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
+    """Split ``A = (B | N)`` with B nonsingular.
+
+    ``cols`` are the (0-based) columns of B; None picks the leftmost m
+    linearly independent columns, and one elimination of ``[A | I]`` then
+    gives them together with ``det B`` and ``adj(B)``. The other columns
+    keep their order in N, which has no columns when A is square.
 
     Raises:
-        RankDeficientError: if fewer than m independent columns exist.
+        RankDeficientError: if ``cols`` is None and A has no m independent
+            columns.
+        DimensionMismatchError: if ``cols`` are not m distinct column indices.
+        SingularError: if the chosen columns are singular.
     """
-    chosen = pivot_columns(a_mat)
-    if len(chosen) < a_mat.rows:
-        raise RankDeficientError(f"matrix has rank {len(chosen)}, expected {a_mat.rows}")
-    return chosen, chosen + tuple(j for j in range(a_mat.cols) if j not in chosen)
+    m, n = a.rows, a.cols
+    if cols is None:
+        cols, det, adj = basis_adjugate(a)
+    else:
+        cols = tuple(cols)
+        if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
+            raise DimensionMismatchError(
+                f"basis columns must be {m} distinct indices below {n}, got {cols}"
+            )
+        try:
+            det, adj = adjugate(a.select_cols(cols))
+        except SingularError as exc:
+            shown = [c + 1 for c in cols]  # as instance files give them
+            raise SingularError(f"chosen basis columns {shown} (1-based) are singular") from exc
+    order = cols + tuple(j for j in range(n) if j not in cols)
+    return BasisPartition(cols, order, a.select_cols(cols), a.select_cols(order[m:]), det, adj)
+
+
+def gcd_max_minors(mat: IntMat) -> int:
+    """gcd of all maximal (rows x rows) minors, always positive.
+
+    Reads the gcd off ``kernel_echelon`` of the leftmost basis partition.
+
+    Raises:
+        RankDeficientError: if the matrix does not have full row rank
+            (all maximal minors vanish, the gcd is not defined here).
+    """
+    part = partition(mat)
+    return kernel_echelon(part.det, part.adj, part.n_mat)[1]
 
 
 def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | None:
@@ -63,43 +105,33 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     """
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    m, n = mat.rows, mat.cols
-    cols, order = select_basis_columns(mat)
-    det, adj = adjugate(mat.select_cols(cols))
-    if m == n:  # no kernel: the one rational solution adj(B) rhs / det B
-        if any(dot(row, rhs) % det for row in adj):
-            return None
-        n_mat, point, kernel = None, (), ()
-    else:
-        n_mat = mat.select_cols(order[m:])
-        coset = kernel_coset(det, adj, n_mat, rhs)
-        if coset.point is None:
-            return None
-        point = coset.point
-        kernel = tuple(lift(det, adj, n_mat, order, (0,) * m, z) for z in coset.basis.vectors)
-    x = lift(det, adj, n_mat, order, rhs, point)
+    part = partition(mat)
+    coset = kernel_coset(part.det, part.adj, part.n_mat, rhs)
+    if coset.point is None:
+        return None
+    kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
+    x = lift(part, rhs, coset.point)
     require(mat.mul_vec(x) == tuple(rhs), "particular solution fails mat @ x = rhs", (mat, rhs))
     return AffineLatticeRep(x, kernel)
 
 
-def lift(det: int, adj, n_mat: IntMat | None, order, rhs, w) -> tuple[int, ...]:
+def lift(part: BasisPartition, rhs, w) -> tuple[int, ...]:
     """The solution x of ``(B | N) x = rhs`` whose N part is w, in the
-    original column order: ``(det, adj) = adjugate(B)``, ``order`` lists the
-    columns of B and then those of N (``n_mat`` is None when there are
-    none), and the B part is ``u = adj(B) (rhs - N w) / det B``.
+    original column order: the B part is ``u = adj(B) (rhs - N w) / det B``.
+    When N has no columns, w is empty.
 
     Raises:
         InternalError: if u is not integral: w is not in the coset of rhs.
     """
-    residual = tuple(bi - ni for bi, ni in zip(rhs, n_mat.mul_vec(w))) if w else rhs
-    lifted = [divmod(dot(row, residual), det) for row in adj]
+    residual = tuple(bi - ni for bi, ni in zip(rhs, part.n_mat.mul_vec(w)))
+    lifted = [divmod(dot(row, residual), part.det) for row in part.adj]
     require(
         all(r == 0 for _, r in lifted),
         "lift through the basis is not integral",
-        (det, adj, n_mat, order, rhs, w),
+        (part, rhs, w),
     )
-    x = [0] * len(order)
-    for j, v in zip(order, [u for u, _ in lifted] + list(w)):
+    x = [0] * len(part.order)
+    for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
         x[j] = v
     return tuple(x)
 
@@ -171,7 +203,7 @@ def kernel_coset(
     ``adj N z0 = adj rhs (mod D)``.
     """
     d, k = abs(det), n_mat.cols
-    ech, gcd = kernel_echelon(det, adj, tuple(zip(*n_mat)))
+    ech, gcd = kernel_echelon(det, adj, n_mat)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
     cur = [0] * k + [dot(row, rhs) % d for row in adj]
     for c in reversed(range(k, len(cur))):

@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Everything here runs on Python's arbitrary-precision ``int``: one
-fraction-free elimination behind determinants, rank profiles, adjugates and
-linear solves, and the one Hermite normal form, ``hnf_mod``, which keeps its
-entries reduced modulo a multiple of the lattice determinant.
+fraction-free elimination behind determinants, adjugates and linear solves,
+which also finds a basis and its adjugate in a single pass, and the one
+Hermite normal form, ``hnf_mod``, which keeps its entries reduced modulo a
+multiple of the lattice determinant.
 ``fractions.Fraction`` appears only in the value ``solve_rational``
 returns. There is no floating point and no tolerance in this module;
 equality means equality.
@@ -51,15 +52,16 @@ class IntMat:
 
     Shape is fixed at construction and entries are stored as a tuple of row
     tuples, so instances are safe to share and to use as dict keys. ``rows``
-    and ``cols`` are the dimensions; indexing yields row tuples.
+    and ``cols`` are the dimensions; indexing yields row tuples. A matrix
+    needs a row but may have no columns: that is the block N of a square A.
     """
 
     __slots__ = ("_data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         data = tuple(tuple(row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionMismatchError("matrix needs at least one row and one column")
+        if not data:
+            raise DimensionMismatchError("matrix needs at least one row")
         width = len(data[0])
         for i, row in enumerate(data):
             if len(row) != width:
@@ -173,34 +175,46 @@ def det_exact(mat: IntMat) -> int:
     """
     if mat.rows != mat.cols:
         raise NotSquareError(f"determinant of a {mat.rows}x{mat.cols} matrix")
-    a = [list(row) for row in mat]
-    pivots, sign = _eliminate(a, mat.cols)
-    return sign * a[-1][-1] if len(pivots) == mat.rows else 0
+    return _scaled_solve(mat, [()] * mat.rows)[1]
 
 
-def pivot_columns(mat: IntMat) -> tuple[int, ...]:
-    """Leftmost linearly independent columns (the rank profile), in order."""
-    return tuple(_eliminate([list(row) for row in mat], mat.cols)[0])
-
-
-def _scaled_solve(mat: IntMat, r_rows: Iterable[list[int]]) -> tuple[int, list[list[int]]]:
-    # det and X = det * mat^-1 R for square mat: eliminate [mat | R], then back
-    # substitute; X is integral by Cramer's rule, so each division is exact
-    n = mat.rows
-    a = [list(row) + r for row, r in zip(mat, r_rows)]
-    pivots, sign = _eliminate(a, n)
+def _scaled_solve(mat: IntMat, r_rows: Iterable) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    # eliminate [mat | R], then back substitute over the pivot columns: with B
+    # those columns, return them, det B and X = det B * B^-1 R, which is
+    # integral by Cramer's rule, so each division is exact; det is 0 when mat
+    # has fewer than mat.rows independent columns
+    n, width = mat.rows, mat.cols
+    a = [[*row, *r] for row, r in zip(mat, r_rows)]
+    pivots, sign = _eliminate(a, width)
     if len(pivots) < n:
-        raise SingularError("matrix is singular")
-    det = sign * a[n - 1][n - 1]
+        return tuple(pivots), 0, []
+    det = sign * a[n - 1][pivots[-1]]
     x: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         row = a[i]
-        acc = [det * e for e in row[n:]]
+        acc = [det * e for e in row[width:]]
         for j in range(i + 1, n):
-            if row[j]:
-                acc = [s - row[j] * e for s, e in zip(acc, x[j])]
-        x[i] = [s // row[i] for s in acc]
-    return det, x
+            e = row[pivots[j]]
+            if e:
+                acc = [s - e * t for s, t in zip(acc, x[j])]
+        x[i] = [s // row[pivots[i]] for s in acc]
+    return tuple(pivots), det, x
+
+
+def basis_adjugate(mat: IntMat) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """``(cols, det, adj)``: the leftmost basis of ``mat`` and its adjugate.
+
+    ``cols`` are the leftmost linearly independent columns (the rank
+    profile), in order; with B those columns, ``B @ adj == det * I``. One
+    fraction-free elimination of ``[mat | I]`` gives all three.
+
+    Raises:
+        RankDeficientError: if the matrix does not have full row rank.
+    """
+    cols, det, x = _scaled_solve(mat, IntMat.identity(mat.rows))
+    if not det:
+        raise RankDeficientError(f"matrix has rank {len(cols)}, expected {mat.rows}")
+    return cols, det, tuple(map(tuple, x))
 
 
 def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -212,27 +226,10 @@ def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     if mat.rows != mat.cols:
         raise NotSquareError(f"adjugate of a {mat.rows}x{mat.cols} matrix")
-    n = mat.rows
-    det, x = _scaled_solve(mat, ([int(i == j) for j in range(n)] for i in range(n)))
+    _, det, x = _scaled_solve(mat, IntMat.identity(mat.rows))
+    if not det:
+        raise SingularError("matrix is singular")
     return det, tuple(map(tuple, x))
-
-
-def gcd_max_minors(mat: IntMat) -> int:
-    """gcd of all maximal (rows x rows) minors, always positive.
-
-    Picks the leftmost nonsingular column block B, then reads the gcd off
-    ``kernel_echelon`` of B and the remaining columns.
-
-    Raises:
-        RankDeficientError: if the matrix does not have full row rank
-            (all maximal minors vanish, the gcd is not defined here).
-    """
-    piv = pivot_columns(mat)
-    if len(piv) < mat.rows:
-        raise RankDeficientError(f"matrix has rank {len(piv)}, expected {mat.rows}")
-    det, adj = adjugate(mat.select_cols(piv))
-    rest = [mat.col(j) for j in range(mat.cols) if j not in piv]
-    return kernel_echelon(det, adj, rest)[1]
 
 
 def hnf_mod(
@@ -300,11 +297,11 @@ def hnf_mod(
 
 
 def kernel_echelon(
-    det: int, adj: Sequence[Sequence[int]], n_cols: Sequence[Sequence[int]]
+    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The kernel lattice of ``(B | N)`` modulo ``D = |det B|``, and the gcd.
 
-    ``(det, adj) = adjugate(B)``, and ``n_cols`` are the k columns of N.
+    ``(det, adj) = adjugate(B)``, and N has k columns, possibly none.
     Since ``B^-1 = adj / det``, an integer z extends to an integer kernel
     vector exactly when ``adj N z = 0 (mod D)``. Returns the ``hnf_mod``
     basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj N z (mod D)}``, z
@@ -316,15 +313,15 @@ def kernel_echelon(
     diagonal entries. The last m vectors decide the congruences
     ``adj N z = r (mod D)``.
     """
-    d, k, m = abs(det), len(n_cols), len(adj)
+    d, k, m = abs(det), n_mat.cols, len(adj)
     gens = [
         [int(i == j) for i in range(k)] + [dot(row, col) for row in adj]
-        for j, col in enumerate(n_cols)
+        for j, col in enumerate(map(n_mat.col, range(k)))
     ]
     ech = hnf_mod(gens, k + m, d)
     lat_det = math.prod(ech[i][i] for i in range(k))
     gcd = d // lat_det
-    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_cols))
+    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_mat))
     return ech, gcd
 
 
@@ -340,5 +337,7 @@ def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:
         raise NotSquareError(f"solve with a {mat.rows}x{mat.cols} matrix")
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    det, x = _scaled_solve(mat, ([e] for e in rhs))
+    _, det, x = _scaled_solve(mat, ([e] for e in rhs))
+    if not det:
+        raise SingularError("matrix is singular")
     return tuple(Fraction(v[0], det) for v in x)

@@ -19,9 +19,9 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
-from .errors import DimensionMismatchError, SingularError, require
-from .lattice import box_reduce, kernel_coset, lattice_determinant, lift, select_basis_columns
-from .linalg import IntMat, adjugate, kernel_echelon
+from .errors import DimensionMismatchError, require
+from .lattice import BasisPartition, box_reduce, kernel_coset, lattice_determinant, lift, partition
+from .linalg import IntMat, kernel_echelon
 
 
 class _InstanceFields(NamedTuple):
@@ -69,18 +69,6 @@ class SolveOutcome(NamedTuple):
     report: ConditionReport | None = None
 
 
-class BasisPartition(NamedTuple):
-    """Basis column indices, the induced column order (basis first), the
-    corresponding blocks of A, and ``(det, adj) = adjugate(b_mat)``."""
-
-    basis_cols: tuple[int, ...]
-    order: tuple[int, ...]
-    b_mat: IntMat
-    n_mat: IntMat
-    det: int
-    adj: tuple[tuple[int, ...], ...]
-
-
 class Conditions(NamedTuple):
     """What the command line reports beside an outcome: the basis partition,
     the gcd of the maximal minors of A, and the deep-cone report for b."""
@@ -91,30 +79,13 @@ class Conditions(NamedTuple):
 
 
 def basis_partition(inst: ProblemInstance) -> BasisPartition:
-    """Resolve the basis block of an instance, honoring an explicit choice.
+    """``lattice.partition`` of an instance, honoring an explicit choice.
 
     Raises:
         SingularError: if explicitly chosen columns are singular.
         RankDeficientError: if no nonsingular choice exists.
     """
-    a = inst.a
-    m, n = a.rows, a.cols
-    if inst.basis_cols is None:
-        cols = select_basis_columns(a)[0]
-    else:
-        cols = tuple(inst.basis_cols)
-        if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
-            raise DimensionMismatchError(
-                f"basis columns must be {m} distinct indices below {n}, got {cols}"
-            )
-    order = cols + tuple(j for j in range(n) if j not in cols)
-    b_mat = a.select_cols(cols)
-    try:
-        det, adj = adjugate(b_mat)
-    except SingularError as exc:
-        shown = [c + 1 for c in cols]  # as instance files give them
-        raise SingularError(f"chosen basis columns {shown} (1-based) are singular") from exc
-    return BasisPartition(cols, order, b_mat, a.select_cols(order[m:]), det, adj)
+    return partition(inst.a, inst.basis_cols)
 
 
 def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
@@ -133,7 +104,7 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
     require(box <= lattice_determinant(basis), "box-reduced point outside the box", inst)
-    x = lift(part.det, part.adj, part.n_mat, part.order, inst.b, w)
+    x = lift(part, inst.b, w)
     require(a.mul_vec(x) == inst.b, "witness fails A x = b", inst)
     if all(e >= 0 for e in x):
         return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd
@@ -172,7 +143,7 @@ def solve_with_conditions(inst: ProblemInstance) -> tuple[SolveOutcome, Conditio
 def conditions(inst: ProblemInstance) -> Conditions:
     """The ``Conditions`` of an instance, without solving it."""
     part = basis_partition(inst)
-    gcd = kernel_echelon(part.det, part.adj, tuple(zip(*part.n_mat)))[1]
+    gcd = kernel_echelon(part.det, part.adj, part.n_mat)[1]
     return Conditions(part, gcd, deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b))
 
 

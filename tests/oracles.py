@@ -325,3 +325,21 @@ def special_basis_hnf(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
             vecs,
         )
     return SpecialBasis(out)
+
+
+def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, ...]:
+    """Box reduction over the integers on a lower-triangular basis.
+
+    Vector i has zeros after coordinate i, so its Gram-Schmidt vector is
+    ``v_i[i] e_i`` and the coefficient of a point against it is
+    ``cur[i] / v_i[i]``. Sweeping from the last coordinate to the first,
+    subtract ``k = cur[i] // v_i[i]`` copies of v_i; coordinates after i
+    stay as they are. Returns the reduced point w, ``0 <= w[i] < v_i[i]``.
+    """
+    cur = list(point)
+    for i in reversed(range(len(vectors))):
+        v = vectors[i]
+        k = cur[i] // v[i]
+        if k:
+            cur = [c - k * e for c, e in zip(cur, v)]
+    return tuple(cur)

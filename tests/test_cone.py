@@ -73,6 +73,18 @@ def test_deep_cone_unit_ratio_is_membership():
         assert rep.holds == in_cone(b_mat, point)
 
 
+def test_deep_cone_without_n_columns_is_membership():
+    # a square A leaves N with no columns: l_N = 0, so the depth is zero
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        b_mat = _random_nonsingular(rng, m)
+        point = tuple(rng.randint(-20, 20) for _ in range(m))
+        rep = deep_cone_condition(b_mat, b_mat.select_cols([]), 1, point)
+        assert rep.threshold_squared == 0
+        assert rep.holds == in_cone(b_mat, point)
+
+
 def test_deep_cone_monotone_along_basis():
     # adding a basis column can only push the point deeper
     rng = random.Random(22)
@@ -202,3 +214,30 @@ def test_aliev_henk_t_bound_rank_deficient():
 
     with pytest.raises(RankDeficientError):
         aliev_henk_t_bound(IntMat([[1, 2, 3], [2, 4, 6]]))
+
+
+def test_approx_sqrt_takes_the_root_first():
+    from diobox.cone import approx_sqrt
+
+    rng = random.Random(5)
+    for _ in range(200):
+        num = rng.randrange(1, 2 ** rng.randrange(1, 1000))
+        den = rng.randrange(1, 2 ** rng.randrange(1, 60))
+        assert approx_sqrt(num, den) == math.sqrt(num / den)  # below 2^1000: unscaled
+        assert approx_sqrt(num) == math.sqrt(num)
+    for bits in (1100, 1500, 2040):
+        num = rng.randrange(2 ** (bits - 1), 2**bits)
+        assert approx_sqrt(num) == pytest.approx(math.isqrt(num), rel=1e-14)
+        assert approx_sqrt(num * 7, 7) == pytest.approx(math.isqrt(num), rel=1e-14)
+    assert approx_sqrt(0) == 0.0
+    assert approx_sqrt(2**2048) is None  # the root, 2^1024, is beyond a double
+    assert approx_sqrt(2**2048, 4) == 2.0**1023
+
+
+def test_aliev_henk_t_bound_beyond_double():
+    # sqrt(det(A A^T)) beyond a double, and 2^((n-m)/2 - 1) beyond one on
+    # its own (n - m = 2051); both are None rather than an OverflowError
+    assert aliev_henk_t_bound(IntMat([[10**400, 3, 5]])) is None
+    assert aliev_henk_t_bound(IntMat([[1] * 2052])) is None
+    got = aliev_henk_t_bound(IntMat([[10**209, 3, 5]]))
+    assert got == pytest.approx(math.sqrt(3) * 1e209, rel=1e-12)

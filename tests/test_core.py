@@ -24,16 +24,16 @@ from diobox import (
     det_exact,
     gcd_max_minors,
     integer_solution_set,
+    partition,
     project_drop_m,
-    select_basis_columns,
     shifted_cone_condition_m2,
     solve,
     solve_rational,
     special_basis,
 )
 from diobox.gen import push_into_deep_cone
-from diobox.lattice import kernel_coset
-from diobox.linalg import hnf_mod, pivot_columns
+from diobox.lattice import kernel_coset, lift
+from diobox.linalg import basis_adjugate, hnf_mod
 from diobox.solver import conditions
 from oracles import (
     deep_cone_reference,
@@ -46,6 +46,7 @@ from oracles import (
     shifted_cone_reference,
     solve_fraction,
     special_basis_hnf,
+    triangular_sweep,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -98,14 +99,21 @@ def test_adjugate_identity(rows):
 @SETTINGS
 @given(matrices())
 def test_pivot_columns_match_fraction_echelon(rows):
+    # the leftmost basis, det B and adj(B) from one elimination of [A | I]
+    # against the Fraction echelon's pivots and the Fraction inverse
     mat = IntMat(rows)
     want = echelon_pivots(rows)
-    assert pivot_columns(mat) == want
     if len(want) < mat.rows:
-        with pytest.raises(RankDeficientError):
-            select_basis_columns(mat)
-    else:
-        assert select_basis_columns(mat)[0] == want
+        for fn in (basis_adjugate, partition):
+            with pytest.raises(RankDeficientError):
+                fn(mat)
+        return
+    cols, det, adj = basis_adjugate(mat)
+    assert cols == want == partition(mat).basis_cols
+    b_rows = [[row[j] for j in cols] for row in rows]
+    assert det == det_cofactor(b_rows) != 0
+    assert adj == tuple(tuple(det * e for e in row) for row in inverse_rational(b_rows))
+    assert partition(mat)[2:] == partition(mat, cols)[2:]
 
 
 @SETTINGS
@@ -293,11 +301,40 @@ def test_integer_solution_set_matches_integer_hnf(data):
     # dropping the basis coordinates maps the kernel lattice one to one onto
     # L', so equal special bases mean both kernel bases span the same
     # lattice; and the difference of the particulars lies in it
-    order = select_basis_columns(mat)[1]
+    order = partition(mat).order
     lattice = special_basis(project_drop_m([[v[j] for j in order] for v in got.kernel_basis], m))
     ref = project_drop_m([[v[j] for j in order] for v in want.kernel_basis], m)
     assert lattice == special_basis_hnf(ref)
     assert not any(box_reduce(lattice.vectors, [diff[j] for j in order[m:]]).w)
+
+
+@SETTINGS
+@given(st.data())
+def test_square_system_takes_general_path(data):
+    # N of a square A has no columns: L' is Z^0, the gcd of the maximal
+    # minors is |det A|, and the coset point is () exactly when A x = b has
+    # an integer solution, which lift then returns
+    rows = data.draw(matrices(square=True))
+    det = det_cofactor(rows)
+    if det == 0:
+        return
+    mat, m = IntMat(rows), len(rows)
+    if data.draw(st.booleans()):
+        b = mat.mul_vec(data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+    else:
+        b = tuple(data.draw(_vector(m)))
+    part = partition(mat)
+    assert (part.n_mat.rows, part.n_mat.cols) == (m, 0)
+    coset = kernel_coset(part.det, part.adj, part.n_mat, b)
+    assert coset.basis.vectors == () and coset.gcd == abs(det)
+    want = solve_fraction(rows, b)
+    if any(f.denominator != 1 for f in want):
+        assert coset.point is None and integer_solution_set(mat, b) is None
+        return
+    x = tuple(int(f) for f in want)
+    assert coset.point == ()
+    assert lift(part, b, ()) == x
+    assert integer_solution_set(mat, b) == (x, ()) == integer_solution_set_hnf(mat, b)
 
 
 @st.composite
@@ -331,6 +368,28 @@ def test_modular_route_matches_hnf_route(inst):
     except (RankDeficientError, SingularError):
         return
     _routes_agree(inst)
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_box_reduce_is_the_triangular_sweep(inst, data):
+    # on the lower-triangular kernel_coset basis, the Fraction Gram-Schmidt
+    # box reduction is the integer sweep, and it depends only on the coset
+    try:
+        part = basis_partition(inst)
+    except (RankDeficientError, SingularError):
+        return
+    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    if coset.point is None:
+        return
+    basis, k = coset.basis.vectors, len(coset.point)
+    w = triangular_sweep(basis, coset.point)
+    assert all(0 <= e < v[i] for i, (e, v) in enumerate(zip(w, basis)))
+    assert box_reduce(basis, coset.point).w == w
+    coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=k, max_size=k))
+    moved = [p + sum(c * v[j] for c, v in zip(coeffs, basis)) for j, p in enumerate(coset.point)]
+    assert triangular_sweep(basis, moved) == w
+    assert box_reduce(basis, moved).w == w
 
 
 @SETTINGS

@@ -6,7 +6,9 @@ arguments, with paths relative to the repository root. ``gen`` lines write
 instance files that later lines read; the other instance files in
 ``tests/golden/`` are written by hand. The outputs were captured before the
 solver moved from ``Fraction`` elimination to the fraction-free core, so
-this test pins that both give the same bytes.
+this test pins that both give the same bytes. The ``m1_long_result`` and
+``m1_float_overflow`` outputs hold numbers longer than Python's 4300-digit
+int/str limit and diagnostics beyond the largest double (written as null).
 
 To regenerate every output and exit code after an intended output change,
 run from the repository root::

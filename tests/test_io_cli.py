@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -301,6 +302,52 @@ def test_cli_over_limit_entry_exits_3(tmp_path, capsys, text):
     assert "2 file(s), 1 failure(s)" in capsys.readouterr().err
     assert (d / "ok.result.json").exists()
     assert not (d / "big.result.json").exists()
+
+
+LONG = int("7" + "0" * 2499 + "1")  # 2501 digits: below the limit, its square is not
+
+
+def test_cli_result_over_limit_is_written(tmp_path):
+    # results longer than the 4300-digit int/str limit are written, with
+    # the limit lifted only while they are formatted
+    limit = sys.get_int_max_str_digits()
+    path = _write(tmp_path / "long.json", _inst_json([[LONG, 3, 5]], [7]))
+    for args, code in (["solve", "--no-timing"], 1), (["check"], 0), (["bounds"], 0):
+        out = tmp_path / f"{args[0]}.json"
+        assert main([args[0], "-i", path, "-o", str(out), *args[1:]]) == code
+        assert sys.get_int_max_str_digits() == limit
+        obj = json.loads(out.read_text(encoding="utf-8"))
+        if args[0] == "bounds":
+            assert obj["det_b"] == str(LONG)
+            t_sq = obj["deep_threshold_squared"]  # 25 (D - 1)^2
+            assert t_sq.isdigit() and len(t_sq) > 5000
+            assert obj["deep_threshold"]["value"] is None
+        else:
+            lhs = obj["deep_cone"]["per_facet"][0]["lhs_squared"]  # 49 / D^2
+            assert lhs.startswith("49/") and len(lhs) > 5000
+    with pytest.raises(ValueError):
+        str(LONG * LONG)
+
+
+@pytest.mark.parametrize("digits,finite", [(210, True), (400, False)])
+def test_cli_diagnostics_beyond_float(tmp_path, digits, finite):
+    # an entry of 10^(digits - 1): the approximate diagnostics take the root
+    # before converting to float, and one beyond the largest double is null
+    big = 10 ** (digits - 1)
+    path = _write(tmp_path / "big.json", _inst_json([[big, 3, 5]], [7]))
+    out = tmp_path / "o.json"
+    assert main(["check", "-i", path, "-o", str(out)]) == 0
+    check = json.loads(out.read_text(encoding="utf-8"))
+    assert main(["bounds", "-i", path, "-o", str(out)]) == 0
+    bounds = json.loads(out.read_text(encoding="utf-8"))
+    proj = bounds["projection_bound"]["value"]  # sqrt(3) sqrt(D^2 + 34)
+    t = bounds["deep_threshold"]["value"]  # l_N (D - 1) = 5 (D - 1)
+    assert check["projection_bound"]["value"] == proj
+    if finite:
+        assert proj == pytest.approx(math.sqrt(3) * float(big), rel=1e-12)
+        assert t == pytest.approx(5.0 * float(big), rel=1e-12)
+    else:
+        assert proj is None and t is None
 
 
 def test_no_assert_in_package():

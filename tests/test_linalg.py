@@ -62,6 +62,19 @@ def test_intmat_rejects_bad_input():
         IntMat([[1, 2]]).mul_vec((1, 2, 3))
 
 
+def test_intmat_without_columns():
+    # the N block of a square A: rows but no columns
+    empty = IntMat([[], []])
+    assert (empty.rows, empty.cols) == (2, 0)
+    assert IntMat([[1, 2], [3, 4]]).select_cols([]) == empty
+    assert empty.mul_vec(()) == (0, 0)
+    assert empty.tolist() == [[], []] and list(empty) == [(), ()]
+    with pytest.raises(DimensionMismatchError):
+        IntMat([[], [1]])
+    with pytest.raises(DimensionMismatchError):
+        IntMat([])
+
+
 def test_hnf_identity_fixed_point():
     res = hnf_column(IntMat.identity(2))
     assert res.h == IntMat.identity(2)

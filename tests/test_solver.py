@@ -16,34 +16,59 @@ from diobox import (
     deep_cone_condition,
     gcd_max_minors,
     generate_instance,
-    select_basis_columns,
+    partition,
     solve,
     verify,
 )
-from diobox import cli, lattice
+from diobox import cli, lattice, linalg
 
 import oracles
 from brute_force import brute_force_solve
 
 
 def test_select_basis_leftmost():
-    cols, order = select_basis_columns(IntMat([[5, 2, 3]]))
-    assert cols == (0,)
-    assert order == (0, 1, 2)
+    part = partition(IntMat([[5, 2, 3]]))
+    assert part.basis_cols == (0,)
+    assert part.order == (0, 1, 2)
+    assert (part.det, part.adj) == (5, ((1,),))
 
 
 def test_select_basis_skips_dependent():
-    cols, order = select_basis_columns(IntMat([[0, 1, 2], [0, 0, 3]]))
-    assert cols == (1, 2)
-    assert order == (1, 2, 0)
-    cols, order = select_basis_columns(IntMat([[1, 0, 7], [0, 1, 7]]))
-    assert cols == (0, 1)
-    assert order == (0, 1, 2)
+    part = partition(IntMat([[0, 1, 2], [0, 0, 3]]))
+    assert part.basis_cols == (1, 2)
+    assert part.order == (1, 2, 0)
+    assert part.b_mat == IntMat([[1, 2], [0, 3]]) and part.n_mat == IntMat([[0], [0]])
+    assert (part.det, part.adj) == (3, ((3, -2), (0, 1)))
+    part = partition(IntMat([[1, 0, 7], [0, 1, 7]]))
+    assert part.basis_cols == (0, 1)
+    assert part.order == (0, 1, 2)
 
 
 def test_select_basis_rank_deficient():
     with pytest.raises(RankDeficientError):
-        select_basis_columns(IntMat([[1, 2, 3], [2, 4, 6]]))
+        partition(IntMat([[1, 2, 3], [2, 4, 6]]))
+    with pytest.raises(RankDeficientError):
+        linalg.basis_adjugate(IntMat([[1, 2, 3], [2, 4, 6]]))
+
+
+def test_default_partition_eliminates_once(monkeypatch):
+    # the rank profile, det B and adj(B) come from one elimination; an
+    # explicit basis takes one elimination of B
+    calls = []
+    real = linalg._eliminate
+
+    def counting(a, width):
+        calls.append(width)
+        return real(a, width)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    inst = ProblemInstance(a=IntMat([[0, 2, 3, 1], [0, 1, 5, 4]]), b=(1, 2))
+    part = basis_partition(inst)
+    assert part.basis_cols == (1, 2) and part.det == 7
+    assert calls == [4]
+    calls.clear()
+    assert partition(inst.a, (2, 3)).det == 7
+    assert calls == [2]
 
 
 def test_instance_validation():
