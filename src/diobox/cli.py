@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import io as iomod
 from .cone import (
@@ -24,7 +23,7 @@ from .cone import (
     aliev_henk_t_bound,
     approx_sqrt,
     max_col_norm_squared,
-    shifted_cone_condition_m2,
+    shifted_cone_report,
 )
 from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
@@ -80,8 +79,8 @@ def _frobenius_section(inst: ProblemInstance) -> dict:
     return {"G": None, "applies": False}
 
 
-def _shifted_section(inst: ProblemInstance, part: BasisPartition) -> dict:
-    rep = shifted_cone_condition_m2(inst.a, part.b_mat, part.n_mat, inst.b)
+def _shifted_section(part: BasisPartition, rhs) -> dict:
+    rep = shifted_cone_report(part.det, part.adj, part.b_mat, part.n_mat, rhs)
     if rep is None:
         return {"applicable": False, "holds": None}
     return {
@@ -96,7 +95,7 @@ def _condition_sections(inst: ProblemInstance, cond: Conditions) -> dict:
     if inst.a.rows == 1:
         out["frobenius"] = _frobenius_section(inst)
     if inst.a.rows == 2:
-        out["shifted_cone"] = _shifted_section(inst, cond.partition)
+        out["shifted_cone"] = _shifted_section(cond.partition, inst.b)
     return out
 
 
@@ -156,6 +155,8 @@ def _solve_single(path: str, output: str | None, with_timing: bool) -> int:
 
 def cmd_solve(args) -> int:
     if args.batch:
+        if args.output:  # each result goes next to its input, so -o names nothing
+            raise DioboxError("-o/--output cannot be used with --batch")
         try:
             entries = os.listdir(args.batch)
         except OSError as exc:  # a missing or non-directory path is bad input, exit 3
@@ -243,7 +244,7 @@ def cmd_bounds(args) -> int:
             "basis_cols": [c + 1 for c in part.basis_cols],
             "det_b": str(part.det),
             "gcd": str(cond.gcd),
-            "lattice_determinant": str(Fraction(abs(part.det), cond.gcd)),
+            "lattice_determinant": str(abs(part.det) // cond.gcd),
             "l_b_squared": str(max_col_norm_squared(part.b_mat)),
             "l_n_squared": str(max_col_norm_squared(part.n_mat)),
             "deep_threshold_squared": str(t_sq),
@@ -253,7 +254,7 @@ def cmd_bounds(args) -> int:
             "hermite_constant_threshold": "not evaluated",
         }
         if inst.a.rows == 2:
-            shifted = _shifted_section(inst, part)
+            shifted = _shifted_section(part, inst.b)
             if shifted["applicable"]:
                 obj["shift_squared"] = shifted["shift_squared"]
         _emit(iomod.dumps_canonical(obj), args.output)

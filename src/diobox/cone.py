@@ -108,14 +108,14 @@ def deep_cone_report(
     return _facet_report(coords, d, norms, g_sq * d * d, Fraction(scale, g_sq))
 
 
-def shifted_cone_condition_m2(
-    a_mat: IntMat, b_mat: IntMat, n_mat: IntMat, rhs: Sequence[int]
+def shifted_cone_report(
+    det: int, adj: Sequence[Sequence[int]], b_mat: IntMat, n_mat: IntMat, rhs: Sequence[int]
 ) -> ConditionReport | None:
-    """Two-row test: does ``rhs`` lie in the shifted cone s*v + C_B?
+    """Two-row test on ``(det, adj) = adjugate(B)``: is ``rhs`` in s*v + C_B?
 
     Only defined when the cone of all columns equals C_B; returns None when
     some column of ``n_mat`` falls outside C_B (test not applicable). Here
-    v is the sum of all columns of ``a_mat`` and
+    v = B*1 + N*1 is the sum of all columns of A = (B | N) and
     ``s = l_B * l_N * (|det B| - 1) / |det B|``. Membership of ``rhs - s*v``
     in C_B is decided facet by facet on squares: with c = (|det B|-1)/|det B|
     * (B^-1 v), facet i requires ``(B^-1 rhs)_i >= l_B*l_N*c_i``, compared as
@@ -125,16 +125,15 @@ def shifted_cone_condition_m2(
 
     Raises:
         WrongRowCountError: if the system does not have exactly two rows.
-        SingularError: if ``b_mat`` is singular.
     """
-    if a_mat.rows != 2:
-        raise WrongRowCountError(f"shifted-cone test needs 2 rows, got {a_mat.rows}")
-    det, adj = adjugate(b_mat)
+    if b_mat.rows != 2:
+        raise WrongRowCountError(f"shifted-cone test needs 2 rows, got {b_mat.rows}")
     for j in range(n_mat.cols):
         if any(c < 0 for c in cone_coords(det, adj, n_mat.col(j))):
             return None
-    q = cone_coords(det, adj, tuple(sum(a_mat.row(i)) for i in range(2)))
-    require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (a_mat, rhs))
+    v = tuple(sum(b_mat.row(i)) + sum(n_mat.row(i)) for i in range(2))
+    q = cone_coords(det, adj, v)
+    require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (b_mat, n_mat, rhs))
     d = abs(det)
     scale = max_col_norm_squared(b_mat) * max_col_norm_squared(n_mat) * (d - 1) ** 2
     norms = [scale * c * c for c in q]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 
 from .cone import cone_coords, deep_cone_report, max_col_norm_squared
-from .errors import GenerationFailedError, require
-from .lattice import partition
-from .linalg import IntMat, det_exact, dot, kernel_echelon
+from .errors import GenerationFailedError, SingularError, require
+from .lattice import BasisPartition, partition
+from .linalg import IntMat, dot, kernel_echelon
 from .solver import ProblemInstance
 
 MODES = ("feasible", "deep", "boundary")
@@ -17,17 +18,17 @@ _RETRIES = 1000
 _COEFF_RANGE = 5
 
 
-def push_into_deep_cone(a_mat: IntMat, b: tuple[int, ...]) -> tuple[int, ...]:
+def push_into_deep_cone(part: BasisPartition, b: tuple[int, ...]) -> tuple[int, ...]:
     """Translate b along basis columns until the deep-cone test holds.
 
-    Uses the leading m columns as the basis block and adds B k for the
+    Adds B k for the basis block B of ``part`` and the
     componentwise-minimal nonnegative integer vector k; every facet margin
     grows by exactly k_i, so the minimal k per facet is found directly. In
     the integers of ``deep_cone_report`` (p_i = D (B^-1 b)_i, D = |det B|,
     g the gcd), facet i needs ``g (p_i + k_i D) >= r_i`` with ``r_i`` the
     ceiling of ``sqrt(l_N^2 (D - g)^2 ||adj_i||^2)``.
     """
-    _, _, b_mat, n_mat, det, adj = partition(a_mat, range(a_mat.rows))
+    _, _, b_mat, n_mat, det, adj = part
     gcd_a = kernel_echelon(det, adj, n_mat)[1]
     d = abs(det)
     scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2
@@ -40,7 +41,7 @@ def push_into_deep_cone(a_mat: IntMat, b: tuple[int, ...]) -> tuple[int, ...]:
     require(
         deep_cone_report(det, adj, n_mat, gcd_a, out).holds,
         "deep-cone push: the shifted right-hand side fails the test",
-        (a_mat, b),
+        (b_mat, n_mat, b),
     )
     return out
 
@@ -66,25 +67,24 @@ def generate_instance(
     if max_entry < 1:
         raise GenerationFailedError(f"max_entry must be positive, got {max_entry}")
     rng = random.Random(seed)
-    a_mat = None
     for _ in range(_RETRIES):
-        cand = IntMat(
+        a_mat = IntMat(
             [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)]
         )
-        if det_exact(cand.select_cols(range(m))) != 0:
-            a_mat = cand
+        with contextlib.suppress(SingularError):  # a singular leading block: draw again
+            part = partition(a_mat, range(m))
             break
-    if a_mat is None:
+    else:
         raise GenerationFailedError(
             f"no nonsingular leading block in {_RETRIES} draws (m={m}, n={n})"
         )
     if mode == "boundary":
         y = [rng.randint(0, _COEFF_RANGE) for _ in range(m)]
         y[rng.randrange(m)] = 0
-        b = a_mat.select_cols(range(m)).mul_vec(y)
+        b = part.b_mat.mul_vec(y)
     else:
         x = [rng.randint(0, _COEFF_RANGE) for _ in range(n)]
         b = a_mat.mul_vec(x)
         if mode == "deep":
-            b = push_into_deep_cone(a_mat, b)
+            b = push_into_deep_cone(part, b)
     return ProblemInstance(a=a_mat, b=tuple(b))

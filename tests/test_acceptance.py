@@ -29,6 +29,7 @@ from diobox import (
     ProblemInstance,
     RankDeficientError,
     SolveStatus,
+    adjugate,
     basis_partition,
     box_reduce,
     box_shape,
@@ -41,7 +42,7 @@ from diobox import (
     integer_solution_set,
     lattice_determinant,
     project_drop_m,
-    shifted_cone_condition_m2,
+    shifted_cone_report,
     solve,
     special_basis,
     verify,
@@ -381,10 +382,11 @@ def test_criterion_7_shifted_cone_implication(capsys):
         n_mat = IntMat.from_cols(cols)
         # with b = B (k, k) both cone coordinates equal k, so the smallest k
         # clearing every squared facet threshold can be read off directly
-        probe = shifted_cone_condition_m2(a_mat, b_mat, n_mat, (0, 0))
+        det, adj = adjugate(b_mat)
+        probe = shifted_cone_report(det, adj, b_mat, n_mat, (0, 0))
         k = max(_ceil_sqrt(f.rhs_squared) for f in probe.facets) + rng.randint(0, 3)
         b = b_mat.mul_vec((k, k))
-        rep = shifted_cone_condition_m2(a_mat, b_mat, n_mat, b)
+        rep = shifted_cone_report(det, adj, b_mat, n_mat, b)
         assert rep is not None and rep.holds, (a_mat.tolist(), b)
         if not deep_cone_condition(b_mat, n_mat, 1, b).holds:
             bad.append((a_mat.tolist(), b))

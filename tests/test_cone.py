@@ -8,12 +8,13 @@ from diobox import (
     IntMat,
     SingularError,
     WrongRowCountError,
+    adjugate,
     aliev_henk_p,
     aliev_henk_t_bound,
     deep_cone_condition,
     det_exact,
     gcd_max_minors,
-    shifted_cone_condition_m2,
+    shifted_cone_report,
 )
 
 from oracles import in_cone
@@ -114,30 +115,29 @@ def test_deep_cone_errors():
 
 
 def test_shifted_cone_worked_example():
-    a = IntMat([[2, 0, 1], [0, 2, 1]])
+    # A = (B | N) = [[2, 0, 1], [0, 2, 1]]
     b_mat = IntMat([[2, 0], [0, 2]])
     n_mat = IntMat([[1], [1]])
-    rep = shifted_cone_condition_m2(a, b_mat, n_mat, (7, 7))
+    det, adj = adjugate(b_mat)
+    rep = shifted_cone_report(det, adj, b_mat, n_mat, (7, 7))
     assert rep is not None and rep.holds
     assert rep.threshold_squared == Fraction(9, 2)  # s^2 = 4 * 2 * (3/4)^2
-    rep = shifted_cone_condition_m2(a, b_mat, n_mat, (6, 6))
+    rep = shifted_cone_report(det, adj, b_mat, n_mat, (6, 6))
     assert rep is not None and not rep.holds
 
 
 def test_shifted_cone_not_applicable():
     # a column outside the basis cone disables the test
-    a = IntMat([[1, 0, -1], [0, 1, 2]])
     b_mat = IntMat([[1, 0], [0, 1]])
     n_mat = IntMat([[-1], [2]])
-    assert shifted_cone_condition_m2(a, b_mat, n_mat, (5, 5)) is None
+    assert shifted_cone_report(*adjugate(b_mat), b_mat, n_mat, (5, 5)) is None
 
 
 def test_shifted_cone_wrong_row_count():
     a = IntMat([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    b_mat = a.select_cols([0, 1, 2])
     with pytest.raises(WrongRowCountError):
-        shifted_cone_condition_m2(
-            a, a.select_cols([0, 1, 2]), a.select_cols([3]), (1, 1, 1)
-        )
+        shifted_cone_report(*adjugate(b_mat), b_mat, a.select_cols([3]), (1, 1, 1))
 
 
 def test_shifted_cone_unimodular_is_membership():
@@ -151,9 +151,8 @@ def test_shifted_cone_unimodular_is_membership():
         y = (rng.randint(0, 5), rng.randint(0, 5))
         col = b_mat.mul_vec(y)
         n_mat = IntMat([[col[0]], [col[1]]])
-        a = IntMat([list(b_mat[0]) + [col[0]], list(b_mat[1]) + [col[1]]])
         point = tuple(rng.randint(-20, 20) for _ in range(2))
-        rep = shifted_cone_condition_m2(a, b_mat, n_mat, point)
+        rep = shifted_cone_report(*adjugate(b_mat), b_mat, n_mat, point)
         assert rep is not None
         assert rep.threshold_squared == 0
         assert rep.holds == in_cone(b_mat, point)
@@ -184,8 +183,9 @@ def test_shifted_implies_deep_smoke():
         base = a.mul_vec(x)
         shift = b_mat.mul_vec((1, 1))
         point = base
+        det, adj = adjugate(b_mat)
         for _ in range(200):
-            rep = shifted_cone_condition_m2(a, b_mat, n_mat, point)
+            rep = shifted_cone_report(det, adj, b_mat, n_mat, point)
             assert rep is not None
             if rep.holds:
                 break

@@ -26,7 +26,7 @@ from diobox import (
     integer_solution_set,
     partition,
     project_drop_m,
-    shifted_cone_condition_m2,
+    shifted_cone_report,
     solve,
     solve_rational,
     special_basis,
@@ -167,13 +167,12 @@ def test_shifted_cone_report_matches_fraction_inverse(data):
         b_rows = [[abs(e) for e in row] for row in b_rows]
     rhs = data.draw(_vector(2))
     a_rows = [rb + rn for rb, rn in zip(b_rows, n_rows)]
-    args = (IntMat(a_rows), IntMat(b_rows), IntMat(n_rows), rhs)
     want = shifted_cone_reference(a_rows, b_rows, n_rows, rhs)
     if want is None:
         with pytest.raises(SingularError):
-            shifted_cone_condition_m2(*args)
+            adjugate(IntMat(b_rows))
         return
-    rep = shifted_cone_condition_m2(*args)
+    rep = shifted_cone_report(*adjugate(IntMat(b_rows)), IntMat(b_rows), IntMat(n_rows), rhs)
     assert (rep is None) if want == "n/a" else _report_tuple(rep) == want
 
 
@@ -193,7 +192,7 @@ def test_push_into_deep_cone_is_minimal(data):
     except RankDeficientError:
         return
     b = tuple(data.draw(_vector(m)))
-    out = push_into_deep_cone(a_mat, b)
+    out = push_into_deep_cone(partition(a_mat, range(m)), b)
     b_mat, n_mat = IntMat(rows), IntMat(n_rows)
     assert deep_cone_condition(b_mat, n_mat, gcd_a, out).holds
     k = solve_rational(b_mat, [o - e for o, e in zip(out, b)])

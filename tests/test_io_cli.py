@@ -241,6 +241,17 @@ def test_cli_batch_reports_bad_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_batch_with_output_is_usage_error(tmp_path, capsys):
+    # batch results go next to their inputs, so -o FILE would be ignored
+    d = tmp_path / "batch"
+    d.mkdir()
+    _write(d / "ok.json", _inst_json([[5, 2, 3]], [4]))
+    out = tmp_path / "out.json"
+    assert main(["solve", "--batch", str(d), "-o", str(out), "--no-timing"]) == 3
+    assert "--output" in capsys.readouterr().err
+    assert not out.exists() and not (d / "ok.result.json").exists()
+
+
 @pytest.mark.parametrize("text", ["3\n", "3\r\n", " 3", "3 "])
 def test_parse_int_rejects_surrounding_whitespace(tmp_path, capsys, text):
     with pytest.raises(InstanceFormatError):
