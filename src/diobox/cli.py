@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 import time
 
@@ -133,50 +132,33 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _failure(exc: Exception, where: str = "") -> int:
-    """Print one line for an exception that ended a command; return the exit
-    code: 3 for bad input, 4 for an internal error or any other exception."""
+def _failure(exc: Exception, where: str = "") -> tuple[int, str]:
+    """The exit code and the one stderr line for an exception that ended a
+    command or a batch file: 3 for bad input, 4 for an internal error or any
+    other exception."""
     if isinstance(exc, DioboxError) and not isinstance(exc, InternalError):
-        print(f"error: {where}{exc}", file=sys.stderr)
-        return 3
-    print(f"internal error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
-    return 4
+        return 3, f"error: {where}{exc}"
+    return 4, f"internal error: {where}{type(exc).__name__}: {exc}"
 
 
-def _solve_single(path: str, output: str | None, with_timing: bool) -> int:
+def _solve_file(path: str, output: str | None, with_timing: bool) -> SolveStatus:
     inst = iomod.load_instance(path)
     t0 = time.monotonic()
     outcome, cond = solve_with_conditions(inst)
     elapsed = time.monotonic() - t0 if with_timing else None
     with _unlimited_digits():
         _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
-    return _EXIT[outcome.status]
+    return outcome.status
 
 
 def cmd_solve(args) -> int:
-    if args.batch:
-        if args.output:  # each result goes next to its input, so -o names nothing
-            raise DioboxError("-o/--output cannot be used with --batch")
-        try:
-            entries = os.listdir(args.batch)
-        except OSError as exc:  # a missing or non-directory path is bad input, exit 3
-            raise DioboxError(f"{args.batch}: {exc.strerror or exc}") from exc
-        names = sorted(
-            f for f in entries if f.endswith(".json") and not f.endswith(".result.json")
-        )
-        failures, code = 0, 0
-        for name in names:
-            src = os.path.join(args.batch, name)
-            dst = os.path.join(args.batch, name[: -len(".json")] + ".result.json")
-            try:
-                _solve_single(src, dst, not args.no_timing)
-            except Exception as exc:  # one bad file must not end the batch
-                # name the file, unless the message already starts with it
-                code = max(code, _failure(exc, "" if str(exc).startswith(src) else f"{src}: "))
-                failures += 1
-        print(f"{len(names)} file(s), {failures} failure(s)", file=sys.stderr)
-        return code
-    return _solve_single(args.instance, args.output, not args.no_timing)
+    if not args.batch:
+        return _EXIT[_solve_file(args.instance, args.output, not args.no_timing)]
+    if args.output:  # each result goes next to its input, so -o names nothing
+        raise DioboxError("-o/--output cannot be used with --batch")
+    from .batch import solve_directory  # only a batch process loads the worker code
+
+    return solve_directory(args.batch, not args.no_timing)
 
 
 def cmd_check(args) -> int:
@@ -321,7 +303,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # every failure leaves with an exit code and one line
-        return _failure(exc)
+        code, line = _failure(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

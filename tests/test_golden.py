@@ -19,6 +19,8 @@ run from the repository root::
 import contextlib
 import io
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -88,6 +90,37 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
         sys.setprofile(None)
     key = f"gen {args[args.index('--mode') + 1]}" if args[0] == "gen" else args[0]
     assert counts == [*CALLS[key], 1]
+
+
+STATUS_FOR_EXIT = {"0": "nonnegative", "1": "integer_only", "2": "infeasible"}
+
+
+def test_golden_batch(tmp_path):
+    # a child process, so the batch runs its real forked workers: every
+    # result file equals the golden output of ``solve -i`` on that instance
+    statuses = {
+        args[2]: STATUS_FOR_EXIT[code]
+        for _, code, args in read_cases()
+        if args[0] == "solve"
+    }
+    for path in statuses:
+        shutil.copy(os.path.join(ROOT, path), tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diobox", "solve", "--batch", str(tmp_path), "--no-timing"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = ", ".join(
+        f"{list(statuses.values()).count(s)} {s}" for s in STATUS_FOR_EXIT.values()
+    )
+    assert proc.stderr == f"{len(statuses)} file(s), 0 failure(s): {counts}\n"
+    for path in statuses:
+        name = os.path.basename(path)[: -len(".json")]
+        with open(os.path.join(GOLDEN, f"{name}.solve.out"), "rb") as fh:
+            assert (tmp_path / f"{name}.result.json").read_bytes() == fh.read(), name
 
 
 def regenerate() -> None:

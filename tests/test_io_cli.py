@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from diobox import IntMat, InstanceFormatError, ProblemInstance
+from diobox import IntMat, InstanceFormatError, ProblemInstance, batch
 from diobox.cli import main
 from diobox.io import (
     dumps_canonical,
@@ -417,3 +420,118 @@ def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
     assert main(["solve", "-i", path]) == 4
     assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
+
+
+def _mixed_batch(d):
+    """Write a batch with every kind of outcome, sorted so that every
+    worker count from 1 to 3 gets a mix; return its summary line."""
+    d.mkdir()
+    _write(d / "a_nonnegative.json", _inst_json([[5, 2, 3]], [4]))
+    _write(d / "b_integer_only.json", _inst_json([[5, 2, 3]], [1]))
+    _write(d / "c_infeasible.json", _inst_json([[2, 4]], [3]))
+    _write(d / "d_malformed.json", "{oops")
+    _write(d / "e_over_limit.json", '{"m": 1, "n": 2, "A": [["%s", "3"]], "b": ["5"]}' % OVER_LIMIT)
+    _write(d / "f_internal.json", _inst_json([[5, 2, 3]], [11]))
+    _write(d / "g_nonnegative.json", _inst_json([[3, 5, 1], [1, 1, 0]], [8, 2]))
+    return "7 file(s), 3 failure(s): 2 nonnegative, 1 integer_only, 1 infeasible"
+
+
+def _raise_internal_for(b):
+    import diobox.cli as cli_mod
+    from diobox import InternalError
+
+    real = cli_mod.solve_with_conditions
+
+    def solve_with_conditions(inst):
+        if inst.b == b:
+            raise InternalError("forced", instance=inst)
+        return real(inst)
+
+    return solve_with_conditions
+
+
+def _run_batch(d, capsys):
+    code = main(["solve", "--batch", str(d), "--no-timing"])
+    results = {p.name: p.read_bytes() for p in sorted(d.glob("*.result.json"))}
+    for p in d.glob("*.result.json"):
+        p.unlink()
+    return code, capsys.readouterr().err, results
+
+
+@pytest.mark.parametrize("workers", [2, 3, "fork fails"])
+def test_cli_batch_workers_match_one_worker(tmp_path, capsys, monkeypatch, workers):
+    # result files, stderr lines and their order, the summary and the exit
+    # code do not depend on how many workers split the batch
+    import diobox.cli as cli_mod
+
+    summary = _mixed_batch(tmp_path / "batch")
+    monkeypatch.setattr(cli_mod, "solve_with_conditions", _raise_internal_for((11,)))
+    monkeypatch.setattr(batch, "usable_cpus", lambda: 1)
+    one = _run_batch(tmp_path / "batch", capsys)
+    assert one[0] == 4
+    err = one[1].splitlines()
+    assert [line.split(":")[0] for line in err[:-1]] == ["error", "error", "internal error"]
+    assert err[-1] == summary
+    assert "d_malformed.json" in err[0] and "e_over_limit.json" in err[1] and "f_internal.json" in err[2]
+    assert sorted(one[2]) == [
+        f"{n}.result.json" for n in ("a_nonnegative", "b_integer_only", "c_infeasible", "g_nonnegative")
+    ]
+
+    if workers == "fork fails":  # every share the children would take falls back to this process
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        workers = 3
+    monkeypatch.setattr(batch, "usable_cpus", lambda: workers)
+    assert _run_batch(tmp_path / "batch", capsys) == one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_batch_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a worker that dies leaves its unreported files as internal errors,
+    # removes what it may have written for them, and is reaped
+    import diobox.cli as cli_mod
+
+    d = tmp_path / "batch"
+    d.mkdir()
+    names = ["a", "b_dies", "c", "d_after", "e"]  # worker 1 of 2 takes b_dies and d_after
+    for k, name in enumerate(names):
+        _write(d / f"{name}.json", _inst_json([[5, 2, 3]], [4 + k]))
+    (d / "b_dies.result.json").write_text("stale", encoding="utf-8")
+    parent = os.getpid()
+    real = cli_mod.solve_with_conditions
+
+    def dies_on_b(inst):
+        if inst.b == (5,):
+            if os.getpid() == parent:
+                raise AssertionError("the dying file landed in the calling process")
+            os._exit(9)
+        return real(inst)
+
+    monkeypatch.setattr(cli_mod, "solve_with_conditions", dies_on_b)
+    monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
+
+    def hang(signum, frame):
+        raise TimeoutError("the batch did not finish")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # fork in a threaded process warns from 3.12
+            code = main(["solve", "--batch", str(d), "--no-timing"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"internal error: {d / name}.json: batch worker exited with status 9 before reporting this file"
+        for name in ("b_dies", "d_after")
+    ] + ["5 file(s), 2 failure(s): 3 nonnegative, 0 integer_only, 0 infeasible"]
+    assert sorted(p.name for p in d.glob("*.result.json")) == ["a.result.json", "c.result.json", "e.result.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -98,11 +98,14 @@ def test_problem_instance_shape_checks():
 
 def test_cli_import_leaves_out_dataclasses_and_oracle():
     # -I -S: no environment, no site packages, so only the package's own
-    # imports count; -B: write no bytecode next to the sources
+    # imports count; -B: write no bytecode next to the sources. The batch
+    # forks its workers, which is safe only in a process without threads,
+    # and importing a pool would slow every start
     src = str(pathlib.Path(diobox.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import diobox.cli; "
-        "print(sorted({'dataclasses', 'diobox.oracle'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'diobox.oracle', 'multiprocessing', 'concurrent',"
+        " 'threading', 'subprocess'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
