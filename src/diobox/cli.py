@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 import time
 
@@ -26,7 +27,6 @@ from .cone import (
 )
 from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
-from .gen import MODES, generate_instance
 from .lattice import BasisPartition
 from .solver import (
     Conditions,
@@ -142,12 +142,22 @@ def _failure(exc: Exception, where: str = "") -> tuple[int, str]:
 
 
 def _solve_file(path: str, output: str | None, with_timing: bool) -> SolveStatus:
-    inst = iomod.load_instance(path)
-    t0 = time.monotonic()
-    outcome, cond = solve_with_conditions(inst)
-    elapsed = time.monotonic() - t0 if with_timing else None
-    with _unlimited_digits():
-        _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
+    """Solve one instance file into ``output`` (stdout when None). A failure
+    leaves no file at ``output``, not even one an earlier run wrote, unless
+    ``output`` is the instance file itself."""
+    try:
+        inst = iomod.load_instance(path)
+        t0 = time.monotonic()
+        outcome, cond = solve_with_conditions(inst)
+        elapsed = time.monotonic() - t0 if with_timing else None
+        with _unlimited_digits():
+            _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
+    except BaseException:
+        if output:
+            with contextlib.suppress(OSError):  # nothing there, or nothing removable
+                if not (os.path.exists(path) and os.path.samefile(path, output)):
+                    os.remove(output)
+        raise
     return outcome.status
 
 
@@ -172,6 +182,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .gen import generate_instance  # only ``gen`` loads the generator
+
     inst = generate_instance(
         m=args.m, n=args.n, seed=args.seed, mode=args.mode, max_entry=args.max_entry
     )
@@ -268,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of equations")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=MODES, default="feasible")
+    # gen.MODES, spelled out so that the parser need not import the
+    # generator; tests/test_io_cli.py checks that the two agree
+    p.add_argument("--mode", choices=("feasible", "deep", "boundary"), default="feasible")
     p.add_argument("--max-entry", type=int, default=10, help="entry range is +-MAX")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_gen)

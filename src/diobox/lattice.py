@@ -230,83 +230,53 @@ def lattice_determinant(basis: SpecialBasis) -> int:
     return prod
 
 
-class GramSchmidtData(NamedTuple):
-    """Orthogonalization ``ortho`` plus the projection coefficients ``mu``;
-    ``mu[i]`` holds the i coefficients of vector i against ortho[0..i-1]."""
-
-    ortho: tuple[tuple[Fraction, ...], ...]
-    mu: tuple[tuple[Fraction, ...], ...]
-
-
-def gram_schmidt(vectors: Sequence[Sequence]) -> GramSchmidtData:
-    """Exact Gram-Schmidt orthogonalization over the rationals.
-
-    Raises:
-        SingularError: if the vectors are linearly dependent.
-        DimensionMismatchError: if vector lengths differ.
-    """
-    vecs = [tuple(Fraction(e) for e in v) for v in vectors]
-    if not vecs:
-        raise DimensionMismatchError("need at least one vector")
-    width = len(vecs[0])
-    ortho: list[tuple[Fraction, ...]] = []
-    norms: list[Fraction] = []
-    mu: list[tuple[Fraction, ...]] = []
-    for i, b in enumerate(vecs):
-        if len(b) != width:
-            raise DimensionMismatchError(f"vector {i} has length {len(b)}, expected {width}")
-        cur = list(b)
-        coeffs = []
-        for j in range(i):
-            m_ij = dot(b, ortho[j]) / norms[j]
-            coeffs.append(m_ij)
-            cur = [c - m_ij * g for c, g in zip(cur, ortho[j])]
-        if not any(cur):
-            raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append(tuple(cur))
-        norms.append(dot(cur, cur))
-        mu.append(tuple(coeffs))
-    return GramSchmidtData(tuple(ortho), tuple(mu))
-
-
 class BoxReduction(NamedTuple):
-    """Decomposition ``x = y + w`` with y in the lattice and w in the
-    half-open Gram-Schmidt box of the basis."""
+    """The representative w of the coset ``point + L`` in the half-open
+    Gram-Schmidt box of the basis."""
 
-    y: tuple
-    w: tuple[Fraction, ...]
+    w: tuple
 
 
 def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReduction:
     """Reduce ``point`` modulo the lattice into the Gram-Schmidt box.
 
-    Sweeping i from last to first, subtract ``floor(lambda_i)`` copies of
-    basis vector i, where lambda_i is the coefficient of ``point`` against
-    the i-th Gram-Schmidt vector. Afterwards every coefficient lies in
-    [0, 1), so w sits in the half-open box spanned by the orthogonalized
-    basis. The result depends only on the coset ``point + L``, never on the
-    representative.
+    One exact Gram-Schmidt pass over the rationals builds each orthogonal
+    vector and its squared norm once, skipping every projection whose
+    coefficient is zero. Then, sweeping i from last to first, subtract
+    ``floor(lambda_i)`` copies of basis vector i, where lambda_i is the
+    coefficient of ``point`` against the i-th Gram-Schmidt vector.
+    Afterwards every coefficient lies in [0, 1), so w sits in the half-open
+    box spanned by the orthogonalized basis; an integer point stays integer
+    throughout. The result depends only on the coset ``point + L``, never on
+    the representative.
 
     Raises:
-        DimensionMismatchError: if the basis is not square or the point has
-            the wrong length.
+        DimensionMismatchError: if the basis is empty or not square, or the
+            point has the wrong length.
         SingularError: if the basis vectors are dependent.
     """
     vecs = [tuple(v) for v in vectors]
     d = len(vecs)
+    if not d:
+        raise DimensionMismatchError("need at least one vector")
     for i, v in enumerate(vecs):
         if len(v) != d:
             raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
     if len(point) != d:
         raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
-    gs = gram_schmidt(vecs)
-    norms = [dot(g, g) for g in gs.ortho]
-    cur = [Fraction(c) for c in point]
-    shift = [0] * d
-    for i in reversed(range(d)):
-        lam = dot(cur, gs.ortho[i]) / norms[i]
-        k = math.floor(lam)
+    ortho: list[tuple[tuple, Fraction]] = []  # (Gram-Schmidt vector, its squared norm)
+    for i, v in enumerate(vecs):
+        cur = v
+        for g, norm in ortho:
+            mu = dot(v, g) / norm
+            if mu:
+                cur = tuple(c - mu * e for c, e in zip(cur, g))
+        if not any(cur):
+            raise SingularError(f"vector {i} is dependent on the previous ones")
+        ortho.append((cur, Fraction(dot(cur, cur))))
+    cur = tuple(point)
+    for v, (g, norm) in zip(reversed(vecs), reversed(ortho)):
+        k = math.floor(dot(cur, g) / norm)
         if k:
-            cur = [c - k * e for c, e in zip(cur, vecs[i])]
-            shift = [s + k * e for s, e in zip(shift, vecs[i])]
-    return BoxReduction(y=tuple(shift), w=tuple(cur))
+            cur = tuple(c - k * e for c, e in zip(cur, v))
+    return BoxReduction(cur)

@@ -3,9 +3,10 @@ package. Everything here is deliberately naive: cofactor expansion, full
 minor enumeration, boolean reachability tables, the ``Fraction``
 Gauss-Jordan eliminations the package used before its fraction-free core,
 and the column Hermite normal form over the integers that the package used
-before it worked modulo |det B|. Nothing imports from the package's
-internals beyond plain data (``IntMat`` and the result records), ``xgcd``
-and its exception types."""
+before it worked modulo |det B|, and the Gram-Schmidt box reduction the
+package ran before it orthogonalised in one pass. Nothing imports from the
+package's internals beyond plain data (``IntMat`` and the result records),
+``dot``, ``xgcd`` and its exception types."""
 
 import math
 from fractions import Fraction
@@ -20,7 +21,7 @@ from diobox.errors import (
     require,
 )
 from diobox.lattice import AffineLatticeRep, SpecialBasis
-from diobox.linalg import IntMat, xgcd
+from diobox.linalg import IntMat, dot, xgcd
 
 
 def det_cofactor(rows):
@@ -342,4 +343,71 @@ def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> 
         k = cur[i] // v[i]
         if k:
             cur = [c - k * e for c, e in zip(cur, v)]
+    return tuple(cur)
+
+
+class GramSchmidtData(NamedTuple):
+    """Orthogonalization ``ortho`` plus the projection coefficients ``mu``;
+    ``mu[i]`` holds the i coefficients of vector i against ortho[0..i-1]."""
+
+    ortho: tuple[tuple[Fraction, ...], ...]
+    mu: tuple[tuple[Fraction, ...], ...]
+
+
+def gram_schmidt(vectors: Sequence[Sequence]) -> GramSchmidtData:
+    """Exact Gram-Schmidt orthogonalization over the rationals.
+
+    Raises:
+        SingularError: if the vectors are linearly dependent.
+        DimensionMismatchError: if vector lengths differ.
+    """
+    vecs = [tuple(Fraction(e) for e in v) for v in vectors]
+    if not vecs:
+        raise DimensionMismatchError("need at least one vector")
+    width = len(vecs[0])
+    ortho: list[tuple[Fraction, ...]] = []
+    norms: list[Fraction] = []
+    mu: list[tuple[Fraction, ...]] = []
+    for i, b in enumerate(vecs):
+        if len(b) != width:
+            raise DimensionMismatchError(f"vector {i} has length {len(b)}, expected {width}")
+        cur = list(b)
+        coeffs = []
+        for j in range(i):
+            m_ij = dot(b, ortho[j]) / norms[j]
+            coeffs.append(m_ij)
+            cur = [c - m_ij * g for c, g in zip(cur, ortho[j])]
+        if not any(cur):
+            raise SingularError(f"vector {i} is dependent on the previous ones")
+        ortho.append(tuple(cur))
+        norms.append(dot(cur, cur))
+        mu.append(tuple(coeffs))
+    return GramSchmidtData(tuple(ortho), tuple(mu))
+
+
+def gram_schmidt_box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> tuple:
+    """The box reduction w of ``point`` the package computed before its
+    one-pass route: ``gram_schmidt`` with its ``mu`` table, every squared
+    norm again, and the point as ``Fraction`` entries.
+
+    Raises:
+        DimensionMismatchError: if the basis is not square or the point has
+            the wrong length.
+        SingularError: if the basis vectors are dependent.
+    """
+    vecs = [tuple(v) for v in vectors]
+    d = len(vecs)
+    for i, v in enumerate(vecs):
+        if len(v) != d:
+            raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
+    if len(point) != d:
+        raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
+    gs = gram_schmidt(vecs)
+    norms = [dot(g, g) for g in gs.ortho]
+    cur = [Fraction(c) for c in point]
+    for i in reversed(range(d)):
+        lam = dot(cur, gs.ortho[i]) / norms[i]
+        k = math.floor(lam)
+        if k:
+            cur = [c - k * e for c, e in zip(cur, vecs[i])]
     return tuple(cur)

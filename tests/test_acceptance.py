@@ -38,7 +38,6 @@ from diobox import (
     det_exact,
     frobenius_number_dp,
     gcd_max_minors,
-    generate_instance,
     integer_solution_set,
     lattice_determinant,
     project_drop_m,
@@ -48,6 +47,7 @@ from diobox import (
     verify,
 )
 from diobox.cli import main as cli_main
+from diobox.gen import generate_instance
 
 from brute_force import EnumerationBudget, brute_force_solve
 from oracles import (

@@ -169,6 +169,15 @@ def test_cli_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_gen_modes_match_generator(capsys):
+    # the parser spells out the generator's modes so that it need not
+    # import diobox.gen; both lists must stay the same
+    from diobox.gen import MODES
+
+    assert main(["gen", "--help"]) == 0
+    assert "{" + ",".join(MODES) + "}" in capsys.readouterr().out
+
+
 def test_cli_gen_solve_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     res = tmp_path / "res.json"
@@ -253,6 +262,39 @@ def test_cli_batch_with_output_is_usage_error(tmp_path, capsys):
     assert main(["solve", "--batch", str(d), "-o", str(out), "--no-timing"]) == 3
     assert "--output" in capsys.readouterr().err
     assert not out.exists() and not (d / "ok.result.json").exists()
+
+
+def test_cli_batch_failure_removes_stale_result(tmp_path, capsys):
+    # a file that fails keeps no result file, not even the one an earlier
+    # run wrote; with two usable CPUs the second file is a forked worker's
+    d = tmp_path / "batch"
+    d.mkdir()
+    _write(d / "a.json", _inst_json([[5, 2, 3]], [4]))
+    _write(d / "x.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "--batch", str(d), "--no-timing"]) == 0
+    assert (d / "x.result.json").exists()
+    _write(d / "x.json", "{oops")
+    assert main(["solve", "--batch", str(d), "--no-timing"]) == 3
+    assert "2 file(s), 1 failure(s)" in capsys.readouterr().err
+    assert (d / "a.result.json").exists() and not (d / "x.result.json").exists()
+
+
+def test_cli_solve_failure_removes_stale_output(tmp_path, capsys):
+    path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    out = tmp_path / "out.json"
+    assert main(["solve", "-i", path, "-o", str(out), "--no-timing"]) == 0
+    assert out.exists()
+    _write(tmp_path / "i.json", "{oops")
+    assert main(["solve", "-i", path, "-o", str(out), "--no-timing"]) == 3
+    assert not out.exists()
+    # a missing instance fails the same way
+    _write(out, "stale")
+    assert main(["solve", "-i", str(tmp_path / "gone.json"), "-o", str(out)]) == 3
+    assert not out.exists()
+    # the instance file itself is never removed
+    assert main(["solve", "-i", path, "-o", path]) == 3
+    assert (tmp_path / "i.json").read_text() == "{oops"
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("text", ["3\n", "3\r\n", " 3", "3 "])

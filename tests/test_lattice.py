@@ -11,7 +11,6 @@ from diobox import (
     box_reduce,
     det_exact,
     gcd_max_minors,
-    gram_schmidt,
     integer_solution_set,
     lattice_determinant,
     project_drop_m,
@@ -20,7 +19,13 @@ from diobox import (
 )
 from diobox.linalg import dot
 
-from oracles import integer_solution_set_hnf, special_basis_hnf
+from oracles import (
+    gram_schmidt,
+    gram_schmidt_box_reduce,
+    integer_solution_set_hnf,
+    solve_fraction,
+    special_basis_hnf,
+)
 
 
 def _random_full_rank(rng, m, n, bound=9):
@@ -31,6 +36,12 @@ def _random_full_rank(rng, m, n, bound=9):
         except RankDeficientError:
             continue
         return mat
+
+
+def _in_lattice(vecs, point):
+    # point is an integer combination of the basis vectors
+    coeffs = solve_fraction(list(zip(*vecs)), point)
+    return all(c.denominator == 1 for c in coeffs)
 
 
 def _spans_same_lattice(vecs_a, vecs_b):
@@ -211,17 +222,11 @@ def test_gram_schmidt_reconstruction():
 
 def test_box_reduce_examples():
     basis = [(5, 0), (1, 1)]
-    red = box_reduce(basis, (7, 0))
-    assert red.y == (5, 0)
-    assert red.w == (2, 0)
-
-    red = box_reduce(basis, (2, 0))  # already inside the box
-    assert red.y == (0, 0)
-    assert red.w == (2, 0)
-
-    red = box_reduce(basis, (-1, -1))
-    assert red.y == (-1, -1)
-    assert red.w == (0, 0)
+    for x, w in (((7, 0), (2, 0)), ((2, 0), (2, 0)), ((-1, -1), (0, 0))):  # (2, 0) is in the box
+        red = box_reduce(basis, x)
+        assert red.w == w
+        assert _in_lattice(basis, [a - b for a, b in zip(x, red.w)])
+    assert box_reduce([(2, 1), (0, 3)], (Fraction(1, 2), 5)).w == (Fraction(1, 2), 2)
 
 
 def test_box_reduce_errors():
@@ -242,7 +247,7 @@ def test_box_reduce_box_membership():
             continue
         x = tuple(rng.randint(-40, 40) for _ in range(d))
         red = box_reduce(vecs, x)
-        assert tuple(a + b for a, b in zip(red.y, red.w)) == x
+        assert _in_lattice(vecs, [a - b for a, b in zip(x, red.w)])
         gs = gram_schmidt(vecs)
         for i in reversed(range(d)):
             lam = dot(red.w, gs.ortho[i]) / dot(gs.ortho[i], gs.ortho[i])
@@ -278,10 +283,36 @@ def test_box_reduce_idempotent():
             continue
         x = tuple(rng.randint(-30, 30) for _ in range(d))
         w = box_reduce(vecs, x).w
-        again = box_reduce(vecs, w)
-        assert all(c == 0 for c in again.y)
-        assert again.w == w
+        assert box_reduce(vecs, w).w == w  # w - w = 0 is the lattice vector taken off
         done += 1
+
+
+def test_box_reduce_matches_gram_schmidt_route():
+    # the one-pass route against the gram_schmidt route it replaced, on
+    # general bases whose zero entries make many projection coefficients
+    # vanish; the number of examples comes from the active hypothesis
+    # profile (tests/conftest.py registers a larger "ci" one)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    zero = st.just(0)  # about half the entries, so that many coefficients vanish
+    entries = st.one_of(zero, zero, st.integers(-5, 5), st.integers(-10**6, 10**6))
+    ints = st.integers(-10**6, 10**6)
+    coords = st.sampled_from((ints, st.one_of(ints, st.fractions(-10**6, 10**6, max_denominator=50))))
+
+    @hypothesis.settings(deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        d = data.draw(st.integers(1, 6))
+        vecs = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+        hypothesis.assume(det_exact(IntMat(vecs)) != 0)
+        x = data.draw(st.lists(data.draw(coords), min_size=d, max_size=d))
+        w = box_reduce(vecs, x).w
+        assert w == gram_schmidt_box_reduce(vecs, x)
+        assert _in_lattice(vecs, [a - b for a, b in zip(x, w)])
+        if all(isinstance(e, int) for e in x):
+            assert all(isinstance(e, int) for e in w)
+
+    check()
 
 
 def test_box_product_bound_on_special_bases():

@@ -1,5 +1,6 @@
 """The package's result records are immutable named tuples, and importing
-the command line pulls in neither ``dataclasses`` nor test-only code."""
+the command line pulls in neither ``dataclasses``, test-only code nor the
+instance generator."""
 
 import pathlib
 import subprocess
@@ -13,7 +14,6 @@ from diobox import (
     IntMat,
     ProblemInstance,
     box_reduce,
-    gram_schmidt,
     integer_solution_set,
     special_basis,
 )
@@ -36,7 +36,6 @@ def _records():
         integer_solution_set(inst.a, inst.b),
         special_basis([(2, 0), (1, 3)]),
         coset,
-        gram_schmidt([(2, 0), (1, 3)]),
         box_reduce(coset.basis.vectors, coset.point),
     ]
 
@@ -52,7 +51,6 @@ NAMES = [
     "AffineLatticeRep",
     "SpecialBasis",
     "KernelCoset",
-    "GramSchmidtData",
     "BoxReduction",
 ]
 
@@ -100,12 +98,13 @@ def test_cli_import_leaves_out_dataclasses_and_oracle():
     # -I -S: no environment, no site packages, so only the package's own
     # imports count; -B: write no bytecode next to the sources. The batch
     # forks its workers, which is safe only in a process without threads,
-    # and importing a pool would slow every start
+    # and importing a pool would slow every start; only ``diobox gen``
+    # needs the generator
     src = str(pathlib.Path(diobox.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import diobox.cli; "
-        "print(sorted({'dataclasses', 'diobox.oracle', 'multiprocessing', 'concurrent',"
-        " 'threading', 'subprocess'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'diobox.oracle', 'diobox.gen', 'multiprocessing',"
+        " 'concurrent', 'threading', 'subprocess'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True

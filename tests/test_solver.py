@@ -15,12 +15,12 @@ from diobox import (
     basis_partition,
     deep_cone_condition,
     gcd_max_minors,
-    generate_instance,
     partition,
     solve,
     verify,
 )
 from diobox import cli, lattice, linalg
+from diobox.gen import generate_instance
 
 import oracles
 from brute_force import brute_force_solve
