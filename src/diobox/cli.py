@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 import time
 
@@ -29,6 +30,7 @@ from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
 from .lattice import BasisPartition
 from .solver import (
+    GEN_MODES,
     Conditions,
     ProblemInstance,
     SolveStatus,
@@ -143,8 +145,8 @@ def _failure(exc: Exception, where: str = "") -> tuple[int, str]:
 
 def _solve_file(path: str, output: str | None, with_timing: bool) -> SolveStatus:
     """Solve one instance file into ``output`` (stdout when None). A failure
-    leaves no file at ``output``, not even one an earlier run wrote, unless
-    ``output`` is the instance file itself."""
+    removes a regular file an earlier run left at ``output``, unless it is
+    the instance file itself; a symlink, device or FIFO there is left alone."""
     try:
         inst = iomod.load_instance(path)
         t0 = time.monotonic()
@@ -155,7 +157,9 @@ def _solve_file(path: str, output: str | None, with_timing: bool) -> SolveStatus
     except BaseException:
         if output:
             with contextlib.suppress(OSError):  # nothing there, or nothing removable
-                if not (os.path.exists(path) and os.path.samefile(path, output)):
+                if stat.S_ISREG(os.lstat(output).st_mode) and not (
+                    os.path.exists(path) and os.path.samefile(path, output)
+                ):
                     os.remove(output)
         raise
     return outcome.status
@@ -280,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of equations")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--seed", type=int, required=True)
-    # gen.MODES, spelled out so that the parser need not import the
-    # generator; tests/test_io_cli.py checks that the two agree
-    p.add_argument("--mode", choices=("feasible", "deep", "boundary"), default="feasible")
+    p.add_argument("--mode", choices=GEN_MODES, default="feasible")
     p.add_argument("--max-entry", type=int, default=10, help="entry range is +-MAX")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_gen)

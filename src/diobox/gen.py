@@ -10,9 +10,7 @@ from .cone import cone_coords, deep_cone_report, max_col_norm_squared
 from .errors import GenerationFailedError, SingularError, require
 from .lattice import BasisPartition, partition
 from .linalg import IntMat, dot, kernel_echelon
-from .solver import ProblemInstance
-
-MODES = ("feasible", "deep", "boundary")
+from .solver import GEN_MODES, ProblemInstance
 
 _RETRIES = 1000
 _COEFF_RANGE = 5
@@ -60,8 +58,8 @@ def generate_instance(
         GenerationFailedError: if no usable matrix shows up within the retry
             budget, or the parameters are out of range.
     """
-    if mode not in MODES:
-        raise GenerationFailedError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if mode not in GEN_MODES:
+        raise GenerationFailedError(f"unknown mode {mode!r}, expected one of {GEN_MODES}")
     if m < 1 or n <= m:
         raise GenerationFailedError(f"need n > m >= 1, got m={m} n={n}")
     if max_entry < 1:

@@ -246,9 +246,12 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReductio
     ``floor(lambda_i)`` copies of basis vector i, where lambda_i is the
     coefficient of ``point`` against the i-th Gram-Schmidt vector.
     Afterwards every coefficient lies in [0, 1), so w sits in the half-open
-    box spanned by the orthogonalized basis; an integer point stays integer
-    throughout. The result depends only on the coset ``point + L``, never on
-    the representative.
+    box spanned by the orthogonalized basis. The result depends only on the
+    coset ``point + L``, never on the representative.
+
+    The point's int and Fraction entries are kept as they are, so an integer
+    point stays integer throughout; any other entry (a float, a string
+    ``Fraction`` accepts) is first converted to its exact ``Fraction``.
 
     Raises:
         DimensionMismatchError: if the basis is empty or not square, or the
@@ -264,17 +267,19 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReductio
             raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
     if len(point) != d:
         raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
-    ortho: list[tuple[tuple, Fraction]] = []  # (Gram-Schmidt vector, its squared norm)
+    # (Gram-Schmidt vector, its squared norm), all over the rationals: no
+    # integer fast path here, that is the integer triangular sweep's job
+    ortho: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for i, v in enumerate(vecs):
-        cur = v
+        cur = b = tuple(map(Fraction, v))
         for g, norm in ortho:
-            mu = dot(v, g) / norm
+            mu = dot(b, g) / norm
             if mu:
                 cur = tuple(c - mu * e for c, e in zip(cur, g))
         if not any(cur):
             raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append((cur, Fraction(dot(cur, cur))))
-    cur = tuple(point)
+        ortho.append((cur, dot(cur, cur)))
+    cur = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point)
     for v, (g, norm) in zip(reversed(vecs), reversed(ortho)):
         k = math.floor(dot(cur, g) / norm)
         if k:

@@ -53,6 +53,11 @@ class ProblemInstance(_InstanceFields):
         return cls(*iterable)
 
 
+# the kinds of instance ``gen.generate_instance`` draws, kept beside the
+# record it builds so that the command line's parser need not load ``gen``
+GEN_MODES = ("feasible", "deep", "boundary")
+
+
 class SolveStatus(str, Enum):
     NONNEGATIVE = "nonnegative"
     INTEGER_ONLY = "integer_only"

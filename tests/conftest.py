@@ -1,10 +1,1 @@
 # anchors the test directory on sys.path so the shared oracles import
-
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves
-    pass
-else:
-    # CI runs with --hypothesis-profile=ci: a property test that leaves its
-    # example count to the profile runs ten times as many examples there
-    settings.register_profile("ci", max_examples=1000)

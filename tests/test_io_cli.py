@@ -2,6 +2,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -169,15 +170,6 @@ def test_cli_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_gen_modes_match_generator(capsys):
-    # the parser spells out the generator's modes so that it need not
-    # import diobox.gen; both lists must stay the same
-    from diobox.gen import MODES
-
-    assert main(["gen", "--help"]) == 0
-    assert "{" + ",".join(MODES) + "}" in capsys.readouterr().out
-
-
 def test_cli_gen_solve_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     res = tmp_path / "res.json"
@@ -296,6 +288,23 @@ def test_cli_solve_failure_removes_stale_output(tmp_path, capsys):
     assert (tmp_path / "i.json").read_text() == "{oops"
     capsys.readouterr()
 
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and symlinks")
+def test_cli_solve_failure_keeps_special_output(tmp_path, capsys):
+    # only a regular file at the target is removed: a FIFO or a symlink (as
+    # /dev/stdout is) stays where it was, and so does the symlink's target
+    bad = _write(tmp_path / "bad.json", "{oops")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    target = _write(tmp_path / "target.json", "kept")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    for out in (fifo, link):
+        assert main(["solve", "-i", bad, "-o", str(out), "--no-timing"]) == 3
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert link.is_symlink() and (tmp_path / "target.json").read_text() == "kept"
+    capsys.readouterr()
 
 @pytest.mark.parametrize("text", ["3\n", "3\r\n", " 3", "3 "])
 def test_parse_int_rejects_surrounding_whitespace(tmp_path, capsys, text):

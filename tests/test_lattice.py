@@ -229,6 +229,15 @@ def test_box_reduce_examples():
     assert box_reduce([(2, 1), (0, 3)], (Fraction(1, 2), 5)).w == (Fraction(1, 2), 2)
 
 
+
+def test_box_reduce_takes_other_point_entries_exactly():
+    # a float or string entry reduces as its exact Fraction does
+    basis = [(2, 1), (0, 3)]
+    for x in ((0.5, 5), ("1/2", "5"), (0.1, 5.0), ("-7/3", 2)):
+        w = box_reduce(basis, x).w
+        assert w == box_reduce(basis, tuple(Fraction(c) for c in x)).w
+        assert all(isinstance(c, (int, Fraction)) for c in w)
+
 def test_box_reduce_errors():
     with pytest.raises(DimensionMismatchError):
         box_reduce([(1, 0), (0, 1)], (1, 2, 3))
@@ -290,8 +299,7 @@ def test_box_reduce_idempotent():
 def test_box_reduce_matches_gram_schmidt_route():
     # the one-pass route against the gram_schmidt route it replaced, on
     # general bases whose zero entries make many projection coefficients
-    # vanish; the number of examples comes from the active hypothesis
-    # profile (tests/conftest.py registers a larger "ci" one)
+    # vanish
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     zero = st.just(0)  # about half the entries, so that many coefficients vanish
@@ -299,7 +307,7 @@ def test_box_reduce_matches_gram_schmidt_route():
     ints = st.integers(-10**6, 10**6)
     coords = st.sampled_from((ints, st.one_of(ints, st.fractions(-10**6, 10**6, max_denominator=50))))
 
-    @hypothesis.settings(deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(st.data())
     def check(data):
         d = data.draw(st.integers(1, 6))
