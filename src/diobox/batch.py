@@ -17,13 +17,12 @@ process runs no threads: ``tests/test_records.py`` checks that importing
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
 from typing import NoReturn
 
-from .cli import _failure, _solve_file
+from .cli import _discard_output, _failure, _solve_file
 from .errors import DioboxError
 from .solver import SolveStatus
 
@@ -43,6 +42,7 @@ def _report(src: str, dst: str, with_timing: bool) -> tuple:
     try:
         status = _solve_file(src, dst, with_timing)
     except Exception as exc:  # one bad file must not end the batch
+        _discard_output(dst, src)
         # name the file, unless the message already starts with it
         return (*_failure(exc, "" if str(exc).startswith(src) else f"{src}: "), None)
     return None, None, status.value
@@ -70,8 +70,8 @@ def _reports(jobs: list[tuple[str, str]], with_timing: bool) -> list:
 
     A worker that cannot be forked leaves its share to this process. A job
     whose worker ended without reporting it (killed, or exited) is an
-    internal error, and any result file it left is removed. Every child is
-    reaped before this returns or raises.
+    internal error whose result path goes through ``_discard_output``. Every
+    child is reaped before this returns or raises.
     """
     workers = max(1, min(len(jobs), usable_cpus()))
     reports: list = [None] * len(jobs)
@@ -111,8 +111,7 @@ def _reports(jobs: list[tuple[str, str]], with_timing: bool) -> list:
             end = os.waitstatus_to_exitcode(ended[i % workers])
             how = f"was killed by signal {-end}" if end < 0 else f"exited with status {end}"
             reports[i] = (4, f"internal error: {src}: batch worker {how} before reporting this file", None)
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(dst)
+            _discard_output(dst, src)
     return reports
 
 

@@ -143,33 +143,30 @@ def _failure(exc: Exception, where: str = "") -> tuple[int, str]:
     return 4, f"internal error: {where}{type(exc).__name__}: {exc}"
 
 
+def _discard_output(output: str | None, *inputs: str | None) -> None:
+    """Remove a failed run's regular file at ``output`` unless it is one of its
+    ``inputs``; a symlink (``-o /dev/stdout``), device or FIFO there stays."""
+    with contextlib.suppress(OSError):  # nothing there, or nothing removable
+        if output and stat.S_ISREG(os.lstat(output).st_mode) and not any(
+            p and os.path.exists(p) and os.path.samefile(p, output) for p in inputs
+        ):
+            os.remove(output)
+
+
 def _solve_file(path: str, output: str | None, with_timing: bool) -> SolveStatus:
-    """Solve one instance file into ``output`` (stdout when None). A failure
-    removes a regular file an earlier run left at ``output``, unless it is
-    the instance file itself; a symlink, device or FIFO there is left alone."""
-    try:
-        inst = iomod.load_instance(path)
-        t0 = time.monotonic()
-        outcome, cond = solve_with_conditions(inst)
-        elapsed = time.monotonic() - t0 if with_timing else None
-        with _unlimited_digits():
-            _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
-    except BaseException:
-        if output:
-            with contextlib.suppress(OSError):  # nothing there, or nothing removable
-                if stat.S_ISREG(os.lstat(output).st_mode) and not (
-                    os.path.exists(path) and os.path.samefile(path, output)
-                ):
-                    os.remove(output)
-        raise
+    """Solve one instance file into ``output`` (stdout when None)."""
+    inst = iomod.load_instance(path)
+    t0 = time.monotonic()
+    outcome, cond = solve_with_conditions(inst)
+    elapsed = time.monotonic() - t0 if with_timing else None
+    with _unlimited_digits():
+        _emit(iomod.dumps_canonical(_result_obj(inst, outcome, cond, elapsed)), output)
     return outcome.status
 
 
 def cmd_solve(args) -> int:
     if not args.batch:
         return _EXIT[_solve_file(args.instance, args.output, not args.no_timing)]
-    if args.output:  # each result goes next to its input, so -o names nothing
-        raise DioboxError("-o/--output cannot be used with --batch")
     from .batch import solve_directory  # only a batch process loads the worker code
 
     return solve_directory(args.batch, not args.no_timing)
@@ -267,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("-i", "--instance", metavar="FILE", help="instance file")
     grp.add_argument("--batch", metavar="DIR", help="solve every *.json in a directory")
-    p.add_argument("-o", "--output", metavar="FILE", help="result file (default stdout)")
     p.add_argument(
         "--no-timing",
         action="store_true",
@@ -277,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="report guarantee conditions without solving")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
-    p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
@@ -286,27 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=GEN_MODES, default="feasible")
     p.add_argument("--max-entry", type=int, default=10, help="entry range is +-MAX")
-    p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("frobenius", help="f-chain, Brauer bound, Frobenius number")
     p.add_argument("entries", type=int, nargs="+", help="positive coprime entries")
     p.add_argument("--cap", type=int, default=10**6, help="residue table cap")
-    p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("verify", help="check a candidate nonnegative solution")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
     p.add_argument("x", nargs="*", help="candidate entries")
     p.add_argument("-s", "--solution", metavar="FILE", help="result file to read x from")
-    p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="exact and diagnostic bounds for an instance")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
-    p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_bounds)
 
+    for p in sub.choices.values():  # main's failure rule reads every command's -o
+        p.add_argument("-o", "--output", metavar="FILE", help="output file (default stdout)")
     return parser
 
 
@@ -314,11 +307,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "batch", None) and args.output:  # each result goes next to its input
+            parser.error("-o/--output cannot be used with --batch")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
     except Exception as exc:  # every failure leaves with an exit code and one line
+        _discard_output(args.output, *(getattr(args, a, None) for a in ("instance", "solution")))
         code, line = _failure(exc)
         print(line, file=sys.stderr)
         return code

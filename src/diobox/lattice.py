@@ -205,7 +205,8 @@ def kernel_coset(
     d, k = abs(det), n_mat.cols
     ech, gcd = kernel_echelon(det, adj, n_mat)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
-    cur = [0] * k + [dot(row, rhs) % d for row in adj]
+    adj_rhs = [dot(row, rhs) for row in adj]
+    cur = [0] * k + [x % d for x in adj_rhs]
     for c in reversed(range(k, len(cur))):
         v = ech[c]
         q, r = divmod(cur[c], v[c])
@@ -215,7 +216,7 @@ def kernel_coset(
     point = tuple(-x % d for x in cur)
     nz = n_mat.mul_vec(point)
     require(
-        all((dot(row, rhs) - dot(row, nz)) % d == 0 for row in adj),
+        all((x - dot(row, nz)) % d == 0 for x, row in zip(adj_rhs, adj)),
         "coset point fails adj(B) N z0 = adj(B) b (mod |det B|)",
         (det, n_mat, rhs),
     )

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import signal
 import stat
 import subprocess
@@ -254,6 +255,11 @@ def test_cli_batch_with_output_is_usage_error(tmp_path, capsys):
     assert main(["solve", "--batch", str(d), "-o", str(out), "--no-timing"]) == 3
     assert "--output" in capsys.readouterr().err
     assert not out.exists() and not (d / "ok.result.json").exists()
+    # an existing -o file is not the batch's output, so it stays as it was
+    _write(out, "earlier\n")
+    assert main(["solve", "--batch", str(d), "-o", str(out), "--no-timing"]) == 3
+    assert out.read_bytes() == b"earlier\n" and not (d / "ok.result.json").exists()
+    capsys.readouterr()
 
 
 def test_cli_batch_failure_removes_stale_result(tmp_path, capsys):
@@ -271,40 +277,69 @@ def test_cli_batch_failure_removes_stale_result(tmp_path, capsys):
     assert (d / "a.result.json").exists() and not (d / "x.result.json").exists()
 
 
-def test_cli_solve_failure_removes_stale_output(tmp_path, capsys):
-    path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+# per command that takes -o: a run that succeeds and a run that fails with
+# exit 3. "I" is a good instance, "S" a result file with a witness for it and
+# "BAD" a malformed file; each failing run reads BAD, if it reads a file
+_OUTPUT_RUNS = {
+    "solve": (["solve", "-i", "I", "--no-timing"], ["solve", "-i", "BAD"]),
+    "check": (["check", "-i", "I"], ["check", "-i", "BAD"]),
+    "bounds": (["bounds", "-i", "I"], ["bounds", "-i", "BAD"]),
+    "verify -i": (["verify", "-i", "I", "0", "2", "0"], ["verify", "-i", "BAD", "0", "2", "0"]),
+    "verify -s": (["verify", "-i", "I", "-s", "S"], ["verify", "-i", "I", "-s", "BAD"]),
+    "gen": (["gen", "--m", "1", "--n", "3", "--seed", "1"], ["gen", "--m", "3", "--n", "1", "--seed", "1"]),
+    "frobenius": (["frobenius", "6", "10", "15"], ["frobenius", "6", "10"]),
+}
+
+
+def _output_runs(tmp_path, command):
+    files = {
+        "I": _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4])),
+        "S": _write(tmp_path / "s.json", '{"x": ["0", "2", "0"]}'),
+        "BAD": _write(tmp_path / "bad.json", "{oops"),
+    }
+    return [[files.get(a, a) for a in argv] for argv in _OUTPUT_RUNS[command]], files
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_RUNS))
+def test_cli_failure_removes_stale_output(tmp_path, capsys, command):
+    # a run that fails keeps no regular file at its -o, such as the result of
+    # an earlier run, unless that file is one of the run's inputs
+    (good, bad), files = _output_runs(tmp_path, command)
     out = tmp_path / "out.json"
-    assert main(["solve", "-i", path, "-o", str(out), "--no-timing"]) == 0
+    assert main(good + ["-o", str(out)]) == 0
     assert out.exists()
-    _write(tmp_path / "i.json", "{oops")
-    assert main(["solve", "-i", path, "-o", str(out), "--no-timing"]) == 3
+    assert main(bad + ["-o", str(out)]) == 3
     assert not out.exists()
-    # a missing instance fails the same way
-    _write(out, "stale")
-    assert main(["solve", "-i", str(tmp_path / "gone.json"), "-o", str(out)]) == 3
-    assert not out.exists()
-    # the instance file itself is never removed
-    assert main(["solve", "-i", path, "-o", path]) == 3
-    assert (tmp_path / "i.json").read_text() == "{oops"
+    if files["BAD"] in bad:  # a missing input file fails the same way
+        _write(out, "stale")
+        gone = [str(tmp_path / "gone.json") if a == files["BAD"] else a for a in bad]
+        assert main(gone + ["-o", str(out)]) == 3
+        assert not out.exists()
+    for name, path in files.items():
+        if path in bad:
+            before = pathlib.Path(path).read_bytes()
+            assert main(bad + ["-o", path]) == 3, name
+            assert pathlib.Path(path).read_bytes() == before, name
     capsys.readouterr()
 
 
-
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and symlinks")
-def test_cli_solve_failure_keeps_special_output(tmp_path, capsys):
+@pytest.mark.parametrize("command", list(_OUTPUT_RUNS))
+def test_cli_failure_keeps_special_output(tmp_path, capsys, command):
     # only a regular file at the target is removed: a FIFO or a symlink (as
     # /dev/stdout is) stays where it was, and so does the symlink's target
-    bad = _write(tmp_path / "bad.json", "{oops")
+    (_, bad), _ = _output_runs(tmp_path, command)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     target = _write(tmp_path / "target.json", "kept")
     link = tmp_path / "link.json"
     link.symlink_to(target)
     for out in (fifo, link):
-        assert main(["solve", "-i", bad, "-o", str(out), "--no-timing"]) == 3
+        assert main(bad + ["-o", str(out)]) == 3
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert link.is_symlink() and (tmp_path / "target.json").read_text() == "kept"
     capsys.readouterr()
+
 
 @pytest.mark.parametrize("text", ["3\n", "3\r\n", " 3", "3 "])
 def test_parse_int_rejects_surrounding_whitespace(tmp_path, capsys, text):
@@ -418,7 +453,6 @@ def test_cli_diagnostics_beyond_float(tmp_path, digits, finite):
 def test_no_assert_in_package():
     # ``python -O`` strips asserts, so every guarantee is an explicit check
     import ast
-    import pathlib
 
     import diobox
 
@@ -542,16 +576,20 @@ def test_cli_batch_workers_match_one_worker(tmp_path, capsys, monkeypatch, worke
 
 
 def test_cli_batch_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
-    # a worker that dies leaves its unreported files as internal errors,
-    # removes what it may have written for them, and is reaped
+    # a worker that dies leaves its unreported files as internal errors, and
+    # is reaped; their result paths follow the rule for any failed file: a
+    # regular file there is removed, a symlink or a directory stays
     import diobox.cli as cli_mod
 
     d = tmp_path / "batch"
     d.mkdir()
-    names = ["a", "b_dies", "c", "d_after", "e"]  # worker 1 of 2 takes b_dies and d_after
+    names = ["a", "b_dies", "c", "d_after", "e", "f_after", "g"]  # worker 1 of 2 takes b, d and f
     for k, name in enumerate(names):
         _write(d / f"{name}.json", _inst_json([[5, 2, 3]], [4 + k]))
     (d / "b_dies.result.json").write_text("stale", encoding="utf-8")
+    target = _write(tmp_path / "target.json", "kept")
+    (d / "d_after.result.json").symlink_to(target)
+    (d / "f_after.result.json").mkdir()
     parent = os.getpid()
     real = cli_mod.solve_with_conditions
 
@@ -581,8 +619,12 @@ def test_cli_batch_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"internal error: {d / name}.json: batch worker exited with status 9 before reporting this file"
-        for name in ("b_dies", "d_after")
-    ] + ["5 file(s), 2 failure(s): 3 nonnegative, 0 integer_only, 0 infeasible"]
-    assert sorted(p.name for p in d.glob("*.result.json")) == ["a.result.json", "c.result.json", "e.result.json"]
+        for name in ("b_dies", "d_after", "f_after")
+    ] + ["7 file(s), 3 failure(s): 4 nonnegative, 0 integer_only, 0 infeasible"]
+    assert sorted(p.name for p in d.glob("*.result.json")) == [
+        f"{name}.result.json" for name in ("a", "c", "d_after", "e", "f_after", "g")
+    ]
+    assert (d / "d_after.result.json").is_symlink() and (tmp_path / "target.json").read_text() == "kept"
+    assert (d / "f_after.result.json").is_dir()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
