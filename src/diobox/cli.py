@@ -217,14 +217,13 @@ def cmd_verify(args) -> int:
         raise DioboxError("give either positional entries or --solution, not both")
     if args.solution is not None:
         x = iomod.load_result_x(args.solution)
-        if x is None:
+        if x is None:  # nothing to verify: {"ok": false}, and the note
             print("result file carries no witness vector", file=sys.stderr)
-            return 1
     elif args.x:
         x = tuple(iomod.parse_int(e, "argument") for e in args.x)
     else:
         raise DioboxError("no candidate solution given")
-    ok = verify(inst.a, inst.b, x)
+    ok = x is not None and verify(inst.a, inst.b, x)
     _emit(iomod.dumps_canonical({"ok": ok}), args.output)
     return 0 if ok else 1
 

@@ -26,20 +26,20 @@ def push_into_deep_cone(part: BasisPartition, b: tuple[int, ...]) -> tuple[int, 
     g the gcd), facet i needs ``g (p_i + k_i D) >= r_i`` with ``r_i`` the
     ceiling of ``sqrt(l_N^2 (D - g)^2 ||adj_i||^2)``.
     """
-    _, _, b_mat, n_mat, det, adj = part
-    gcd_a = kernel_echelon(det, adj, n_mat)[1]
+    det, adj = part.det, part.adj
+    gcd_a = kernel_echelon(det, part.adj_n)[1]
     d = abs(det)
-    scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2
+    scale = max_col_norm_squared(part.n_mat) * (d - gcd_a) ** 2
     shift = []
     for p, row in zip(cone_coords(det, adj, b), adj):
         v = scale * dot(row, row)
         r = math.isqrt(v - 1) + 1 if v else 0  # ceil(sqrt(v))
         shift.append(max(0, -((gcd_a * p - r) // (gcd_a * d))))
-    out = tuple(e + dot(row, shift) for e, row in zip(b, b_mat))
+    out = tuple(e + dot(row, shift) for e, row in zip(b, part.b_mat))
     require(
-        deep_cone_report(det, adj, n_mat, gcd_a, out).holds,
+        deep_cone_report(det, adj, part.n_mat, gcd_a, out).holds,
         "deep-cone push: the shifted right-hand side fails the test",
-        (b_mat, n_mat, b),
+        (part.b_mat, part.n_mat, b),
     )
     return out
 

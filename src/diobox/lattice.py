@@ -3,18 +3,20 @@
 The integer solutions of ``A x = b`` (A integer, full row rank m, n columns)
 form either the empty set or an affine lattice ``r + L`` where L is the rank
 ``n - m`` kernel lattice of A. ``partition`` splits A = (B | N) with B
-nonsingular for every caller; N has no columns when A is square. Dropping
-the m coordinates of B maps L bijectively onto the full-rank lattice
+nonsingular for every caller; N has no columns when A is square. Its one
+elimination gives ``det B``, ``adj(B)`` and ``adj(B) N``. Dropping the m
+coordinates of B maps L bijectively onto the full-rank lattice
 ``L' = {z in Z^(n-m) : adj(B) N z = 0 (mod D)}``, D = |det B|, and the
 solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
-``kernel_coset`` builds both modulo D through ``linalg.kernel_echelon``, so
-no entry it handles exceeds D. L' has a unique lower-triangular basis with
-positive diagonal and reduced subdiagonal entries, and reducing a point of
-the coset into the half-open box spanned by the Gram-Schmidt vectors of
-that basis is the core step of the solver. ``lift`` carries a point of
-the coset back to a solution through ``adj(B)``; ``integer_solution_set``
-lifts the coset point and the basis of L' that way, and ``special_basis``
-runs ``hnf_mod`` modulo the determinant of its input.
+``kernel_coset`` builds both modulo D from ``adj(B) N`` through
+``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
+unique lower-triangular basis with positive diagonal and reduced
+subdiagonal entries, and reducing a point of the coset into the half-open
+box spanned by the Gram-Schmidt vectors of that basis is the core step of
+the solver. ``lift`` carries a point of the coset back to a solution
+through ``adj(B)``; ``integer_solution_set`` lifts the coset point and the
+basis of L' that way, and ``special_basis`` runs ``hnf_mod`` modulo the
+determinant of its input.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatchError, SingularError, require
-from .linalg import IntMat, adjugate, basis_adjugate, det_exact, dot, hnf_mod, kernel_echelon
+from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
+from .linalg import IntMat, _scaled_solve, det_exact, dot, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(NamedTuple):
@@ -36,7 +38,8 @@ class AffineLatticeRep(NamedTuple):
 
 class BasisPartition(NamedTuple):
     """Basis column indices, the induced column order (basis first), the
-    corresponding blocks of A, and ``(det, adj) = adjugate(b_mat)``."""
+    corresponding blocks of A, ``(det, adj) = adjugate(b_mat)`` and
+    ``adj_n = adj @ n_mat``, an m x k block with empty rows when k = 0."""
 
     basis_cols: tuple[int, ...]
     order: tuple[int, ...]
@@ -44,6 +47,7 @@ class BasisPartition(NamedTuple):
     n_mat: IntMat
     det: int
     adj: tuple[tuple[int, ...], ...]
+    adj_n: tuple[tuple[int, ...], ...]
 
 
 def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
@@ -51,8 +55,9 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
 
     ``cols`` are the (0-based) columns of B; None picks the leftmost m
     linearly independent columns, and one elimination of ``[A | I]`` then
-    gives them together with ``det B`` and ``adj(B)``. The other columns
-    keep their order in N, which has no columns when A is square.
+    gives them together with ``det B``, ``adj(B)`` and ``adj(B) N``. Explicit
+    columns take one elimination of ``[B | N | I]`` instead. The other
+    columns keep their order in N, which has no columns when A is square.
 
     Raises:
         RankDeficientError: if ``cols`` is None and A has no m independent
@@ -61,21 +66,29 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
         SingularError: if the chosen columns are singular.
     """
     m, n = a.rows, a.cols
+    eye = IntMat.identity(m)
     if cols is None:
-        cols, det, adj = basis_adjugate(a)
+        # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
+        cols, det, x = _scaled_solve(a, eye)
+        if not det:
+            raise RankDeficientError(f"matrix has rank {len(cols)}, expected {m}")
+        order = cols + tuple(j for j in range(n) if j not in cols)
+        n_mat = a.select_cols(order[m:])
     else:
         cols = tuple(cols)
         if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
             raise DimensionMismatchError(
                 f"basis columns must be {m} distinct indices below {n}, got {cols}"
             )
-        try:
-            det, adj = adjugate(a.select_cols(cols))
-        except SingularError as exc:
+        order = cols + tuple(j for j in range(n) if j not in cols)
+        n_mat = a.select_cols(order[m:])
+        _, det, x = _scaled_solve(a.select_cols(cols), [(*r, *e) for r, e in zip(n_mat, eye)])
+        if not det:
             shown = [c + 1 for c in cols]  # as instance files give them
-            raise SingularError(f"chosen basis columns {shown} (1-based) are singular") from exc
-    order = cols + tuple(j for j in range(n) if j not in cols)
-    return BasisPartition(cols, order, a.select_cols(cols), a.select_cols(order[m:]), det, adj)
+            raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
+    k = n - m
+    adj, adj_n = tuple(tuple(r[k:]) for r in x), tuple(tuple(r[:k]) for r in x)
+    return BasisPartition(cols, order, a.select_cols(cols), n_mat, det, adj, adj_n)
 
 
 def gcd_max_minors(mat: IntMat) -> int:
@@ -88,7 +101,7 @@ def gcd_max_minors(mat: IntMat) -> int:
             (all maximal minors vanish, the gcd is not defined here).
     """
     part = partition(mat)
-    return kernel_echelon(part.det, part.adj, part.n_mat)[1]
+    return kernel_echelon(part.det, part.adj_n)[1]
 
 
 def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | None:
@@ -106,7 +119,7 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
     part = partition(mat)
-    coset = kernel_coset(part.det, part.adj, part.n_mat, rhs)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, rhs)
     if coset.point is None:
         return None
     kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
@@ -192,18 +205,18 @@ class KernelCoset(NamedTuple):
 
 
 def kernel_coset(
-    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, rhs: Sequence[int]
+    det: int, adj: Sequence[Sequence[int]], adj_n: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> KernelCoset:
     """L', the gcd and the solution coset of ``(B | N) x = rhs`` modulo D.
 
-    ``(det, adj) = adjugate(B)`` and D = |det B|. The coset is found by
-    reducing ``(0 ; adj rhs mod D)`` along the last m vectors of
-    ``kernel_echelon``: a pivot that does not divide its entry means no
-    integer solution; otherwise ``(-z0 ; 0)`` is left, with
-    ``adj N z0 = adj rhs (mod D)``.
+    ``(det, adj) = adjugate(B)``, ``adj_n = adj N`` and D = |det B|. The
+    coset is found by reducing ``(0 ; adj rhs mod D)`` along the last m
+    vectors of ``kernel_echelon``: a pivot that does not divide its entry
+    means no integer solution; otherwise ``(-z0 ; 0)`` is left, with
+    ``adj_n z0 = adj rhs (mod D)``.
     """
-    d, k = abs(det), n_mat.cols
-    ech, gcd = kernel_echelon(det, adj, n_mat)
+    d, k = abs(det), len(adj_n[0])
+    ech, gcd = kernel_echelon(det, adj_n)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
     adj_rhs = [dot(row, rhs) for row in adj]
     cur = [0] * k + [x % d for x in adj_rhs]
@@ -214,11 +227,10 @@ def kernel_coset(
             return KernelCoset(basis, gcd, None)
         cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
     point = tuple(-x % d for x in cur)
-    nz = n_mat.mul_vec(point)
     require(
-        all((x - dot(row, nz)) % d == 0 for x, row in zip(adj_rhs, adj)),
+        all((x - dot(row, point)) % d == 0 for x, row in zip(adj_rhs, adj_n)),
         "coset point fails adj(B) N z0 = adj(B) b (mod |det B|)",
-        (det, n_mat, rhs),
+        (det, adj_n, rhs),
     )
     return KernelCoset(basis, gcd, point)
 

@@ -2,9 +2,10 @@
 
 Everything here runs on Python's arbitrary-precision ``int``: one
 fraction-free elimination behind determinants, adjugates and linear solves,
-which also finds a basis and its adjugate in a single pass, and the one
-Hermite normal form, ``hnf_mod``, which keeps its entries reduced modulo a
-multiple of the lattice determinant.
+which also finds a basis B of a wide matrix and gives ``adj(B)`` and
+``adj(B) N`` in a single pass, and the one Hermite normal form,
+``hnf_mod``, which keeps its entries reduced modulo a multiple of the
+lattice determinant.
 ``fractions.Fraction`` appears only in the value ``solve_rational``
 returns. There is no floating point and no tolerance in this module;
 equality means equality.
@@ -13,13 +14,13 @@ equality means equality.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
     NotSquareError,
-    RankDeficientError,
     SingularError,
     require,
 )
@@ -44,7 +45,7 @@ def dot(u: Sequence, v: Sequence):
     """Inner product of two equal-length vectors (int or Fraction entries)."""
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 class IntMat:
@@ -180,41 +181,27 @@ def det_exact(mat: IntMat) -> int:
 
 def _scaled_solve(mat: IntMat, r_rows: Iterable) -> tuple[tuple[int, ...], int, list[list[int]]]:
     # eliminate [mat | R], then back substitute over the pivot columns: with B
-    # those columns, return them, det B and X = det B * B^-1 R, which is
-    # integral by Cramer's rule, so each division is exact; det is 0 when mat
-    # has fewer than mat.rows independent columns
+    # those columns and F the other columns of [mat | R], in order, return
+    # them, det B and X = det B * B^-1 F, which is integral by Cramer's rule,
+    # so each division is exact; det is 0 when mat has fewer than mat.rows
+    # independent columns
     n, width = mat.rows, mat.cols
     a = [[*row, *r] for row, r in zip(mat, r_rows)]
     pivots, sign = _eliminate(a, width)
     if len(pivots) < n:
         return tuple(pivots), 0, []
     det = sign * a[n - 1][pivots[-1]]
+    free = [j for j in range(len(a[0])) if j not in pivots]
     x: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         row = a[i]
-        acc = [det * e for e in row[width:]]
+        acc = [det * row[j] for j in free]
         for j in range(i + 1, n):
             e = row[pivots[j]]
             if e:
                 acc = [s - e * t for s, t in zip(acc, x[j])]
         x[i] = [s // row[pivots[i]] for s in acc]
     return tuple(pivots), det, x
-
-
-def basis_adjugate(mat: IntMat) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-    """``(cols, det, adj)``: the leftmost basis of ``mat`` and its adjugate.
-
-    ``cols`` are the leftmost linearly independent columns (the rank
-    profile), in order; with B those columns, ``B @ adj == det * I``. One
-    fraction-free elimination of ``[mat | I]`` gives all three.
-
-    Raises:
-        RankDeficientError: if the matrix does not have full row rank.
-    """
-    cols, det, x = _scaled_solve(mat, IntMat.identity(mat.rows))
-    if not det:
-        raise RankDeficientError(f"matrix has rank {len(cols)}, expected {mat.rows}")
-    return cols, det, tuple(map(tuple, x))
 
 
 def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -297,31 +284,29 @@ def hnf_mod(
 
 
 def kernel_echelon(
-    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat
+    det: int, adj_n: Sequence[Sequence[int]]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The kernel lattice of ``(B | N)`` modulo ``D = |det B|``, and the gcd.
 
-    ``(det, adj) = adjugate(B)``, and N has k columns, possibly none.
-    Since ``B^-1 = adj / det``, an integer z extends to an integer kernel
-    vector exactly when ``adj N z = 0 (mod D)``. Returns the ``hnf_mod``
-    basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj N z (mod D)}``, z
-    first, built from the generators ``(e_j ; adj N_j)``, and the gcd of the
-    maximal minors of ``(B | N)``. The first k basis vectors have t = 0:
+    ``adj_n = adj(B) N``, the m x k block that the basis partition's one
+    elimination gives beside ``det B``; N has k columns, possibly none.
+    Since ``B^-1 = adj(B) / det``, an integer z extends to an integer kernel
+    vector exactly when ``adj_n z = 0 (mod D)``. Returns the ``hnf_mod``
+    basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj_n z (mod D)}``, z
+    first, built from the generators ``(e_j ; adj_n[:, j])``, and the gcd of
+    the maximal minors of ``(B | N)``. The first k basis vectors have t = 0:
     cut to their z part, they are the reduced triangular basis of the
-    projected kernel lattice ``L' = {z : adj N z = 0 (mod D)}``. The index of
+    projected kernel lattice ``L' = {z : adj_n z = 0 (mod D)}``. The index of
     L' in ``Z^k`` is ``D / gcd``, so the gcd is D over the product of their
     diagonal entries. The last m vectors decide the congruences
-    ``adj N z = r (mod D)``.
+    ``adj_n z = r (mod D)``.
     """
-    d, k, m = abs(det), n_mat.cols, len(adj)
-    gens = [
-        [int(i == j) for i in range(k)] + [dot(row, col) for row in adj]
-        for j, col in enumerate(map(n_mat.col, range(k)))
-    ]
-    ech = hnf_mod(gens, k + m, d)
+    d, k = abs(det), len(adj_n[0])
+    gens = [[int(i == j) for i in range(k)] + list(col) for j, col in enumerate(zip(*adj_n))]
+    ech = hnf_mod(gens, k + len(adj_n), d)
     lat_det = math.prod(ech[i][i] for i in range(k))
     gcd = d // lat_det
-    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_mat))
+    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, adj_n))
     return ech, gcd
 
 

@@ -1,7 +1,8 @@
 """End-to-end solver for nonnegative integer solutions of A x = b.
 
-Pipeline: pick a nonsingular column block B, and decide integer
-feasibility modulo D = |det B| from ``adj(B)``: the same reduction yields the
+Pipeline: pick a nonsingular column block B, whose one elimination gives
+``det B``, ``adj(B)`` and ``adj(B) N``, and decide integer feasibility
+modulo D = |det B| from ``adj(B) N``: the same reduction yields the
 triangular basis of the projected kernel lattice, a point of the projected
 solution coset and the gcd of the maximal minors. Reduce that point into
 the box of the triangular basis, then lift back through the basis block.
@@ -98,7 +99,7 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
     # which the modular reduction gives for infeasible instances as well
     part = basis_partition(inst)
     a = inst.a
-    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
     gcd = coset.gcd
     if coset.point is None:
         return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd
@@ -148,7 +149,7 @@ def solve_with_conditions(inst: ProblemInstance) -> tuple[SolveOutcome, Conditio
 def conditions(inst: ProblemInstance) -> Conditions:
     """The ``Conditions`` of an instance, without solving it."""
     part = basis_partition(inst)
-    gcd = kernel_echelon(part.det, part.adj, part.n_mat)[1]
+    gcd = kernel_echelon(part.det, part.adj_n)[1]
     return Conditions(part, gcd, deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b))
 
 

@@ -4,9 +4,11 @@ minor enumeration, boolean reachability tables, the ``Fraction``
 Gauss-Jordan eliminations the package used before its fraction-free core,
 and the column Hermite normal form over the integers that the package used
 before it worked modulo |det B|, and the Gram-Schmidt box reduction the
-package ran before it orthogonalised in one pass. Nothing imports from the
-package's internals beyond plain data (``IntMat`` and the result records),
-``dot``, ``xgcd`` and its exception types."""
+package ran before it orthogonalised in one pass, and the kernel echelon
+built from ``m * k`` products of ``adj(B)`` with N's columns, which the
+package ran before its elimination gave ``adj(B) N``. Nothing imports from
+the package's internals beyond plain data (``IntMat`` and the result
+records), ``dot``, ``xgcd``, ``hnf_mod`` and its exception types."""
 
 import math
 from fractions import Fraction
@@ -21,7 +23,7 @@ from diobox.errors import (
     require,
 )
 from diobox.lattice import AffineLatticeRep, SpecialBasis
-from diobox.linalg import IntMat, dot, xgcd
+from diobox.linalg import IntMat, dot, hnf_mod, xgcd
 
 
 def det_cofactor(rows):
@@ -326,6 +328,35 @@ def special_basis_hnf(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
             vecs,
         )
     return SpecialBasis(out)
+
+
+def kernel_echelon_product(
+    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The kernel lattice of ``(B | N)`` modulo ``D = |det B|``, and the gcd.
+
+    ``(det, adj) = adjugate(B)``, and N has k columns, possibly none.
+    Since ``B^-1 = adj / det``, an integer z extends to an integer kernel
+    vector exactly when ``adj N z = 0 (mod D)``. Returns the ``hnf_mod``
+    basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj N z (mod D)}``, z
+    first, built from the generators ``(e_j ; adj N_j)``, and the gcd of the
+    maximal minors of ``(B | N)``. The first k basis vectors have t = 0:
+    cut to their z part, they are the reduced triangular basis of the
+    projected kernel lattice ``L' = {z : adj N z = 0 (mod D)}``. The index of
+    L' in ``Z^k`` is ``D / gcd``, so the gcd is D over the product of their
+    diagonal entries. The last m vectors decide the congruences
+    ``adj N z = r (mod D)``.
+    """
+    d, k, m = abs(det), n_mat.cols, len(adj)
+    gens = [
+        [int(i == j) for i in range(k)] + [dot(row, col) for row in adj]
+        for j, col in enumerate(map(n_mat.col, range(k)))
+    ]
+    ech = hnf_mod(gens, k + m, d)
+    lat_det = math.prod(ech[i][i] for i in range(k))
+    gcd = d // lat_det
+    require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_mat))
+    return ech, gcd
 
 
 def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, ...]:

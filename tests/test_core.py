@@ -33,7 +33,7 @@ from diobox import (
 )
 from diobox.gen import push_into_deep_cone
 from diobox.lattice import kernel_coset, lift
-from diobox.linalg import basis_adjugate, hnf_mod
+from diobox.linalg import dot, hnf_mod, kernel_echelon
 from diobox.solver import conditions
 from oracles import (
     deep_cone_reference,
@@ -42,6 +42,7 @@ from oracles import (
     hnf_column,
     integer_solution_set_hnf,
     inverse_rational,
+    kernel_echelon_product,
     minors_gcd,
     shifted_cone_reference,
     solve_fraction,
@@ -104,16 +105,62 @@ def test_pivot_columns_match_fraction_echelon(rows):
     mat = IntMat(rows)
     want = echelon_pivots(rows)
     if len(want) < mat.rows:
-        for fn in (basis_adjugate, partition):
-            with pytest.raises(RankDeficientError):
-                fn(mat)
+        with pytest.raises(RankDeficientError):
+            partition(mat)
         return
-    cols, det, adj = basis_adjugate(mat)
-    assert cols == want == partition(mat).basis_cols
+    part = partition(mat)
+    cols, det, adj = part.basis_cols, part.det, part.adj
+    assert cols == want
     b_rows = [[row[j] for j in cols] for row in rows]
     assert det == det_cofactor(b_rows) != 0
     assert adj == tuple(tuple(det * e for e in row) for row in inverse_rational(b_rows))
     assert partition(mat)[2:] == partition(mat, cols)[2:]
+
+
+@st.composite
+def partitioned(draw):
+    """``(rows, cols, dependent)``: a matrix, explicit basis columns or None,
+    and None or the index p < m of an inserted column that the leftmost
+    basis must skip: a multiple of column p - 1, or zero when p = 0. The
+    default-column draws include square matrices, whose N has no columns."""
+    kind = draw(st.sampled_from(["default", "dependent", "square", "explicit"]))
+    rows = draw(matrices(square=kind == "square"))
+    m, n = len(rows), len(rows[0])
+    cols = dependent = None
+    if kind == "dependent":
+        dependent = draw(st.integers(0, m - 1))
+        c = draw(st.integers(-3, 3))
+        rows = [
+            row[:dependent] + [c * row[dependent - 1] if dependent else 0] + row[dependent:]
+            for row in rows
+        ]
+    elif kind == "explicit":
+        cols = tuple(draw(st.permutations(range(n)))[:m])
+    return rows, cols, dependent
+
+
+@SETTINGS
+@given(partitioned())
+def test_partition_adj_n_is_adj_times_n(case):
+    # adj(B) N from the partition's one elimination is exactly the product
+    # the old route built, for the leftmost basis (pivots that skip a
+    # dependent leading column, and k = 0 for a square A) and for explicit
+    # columns; both routes give the same echelon and gcd
+    rows, cols, dependent = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    if dependent is not None:
+        assert dependent not in part.basis_cols
+    det, adj = adjugate(part.b_mat)
+    assert (part.det, part.adj) == (det, adj)
+    n_cols = [part.n_mat.col(j) for j in range(part.n_mat.cols)]
+    assert part.adj_n == tuple(tuple(dot(row, col) for col in n_cols) for row in adj)
+    got = kernel_echelon(part.det, part.adj_n)
+    assert got == kernel_echelon_product(det, adj, part.n_mat)
+    assert got[1] == minors_gcd(rows)
 
 
 @SETTINGS
@@ -230,7 +277,7 @@ def _routes_agree(inst, oracle_gcd=True):
     the instance has no integer solution."""
     part = basis_partition(inst)
     m, d = inst.a.rows, abs(part.det)
-    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
     rep = integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     assert (coset.point is None) == (rep is None)
     # the gcd, for infeasible instances too
@@ -324,7 +371,7 @@ def test_square_system_takes_general_path(data):
         b = tuple(data.draw(_vector(m)))
     part = partition(mat)
     assert (part.n_mat.rows, part.n_mat.cols) == (m, 0)
-    coset = kernel_coset(part.det, part.adj, part.n_mat, b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, b)
     assert coset.basis.vectors == () and coset.gcd == abs(det)
     want = solve_fraction(rows, b)
     if any(f.denominator != 1 for f in want):
@@ -378,7 +425,7 @@ def test_box_reduce_is_the_triangular_sweep(inst, data):
         part = basis_partition(inst)
     except (RankDeficientError, SingularError):
         return
-    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
     if coset.point is None:
         return
     basis, k = coset.basis.vectors, len(coset.point)
@@ -407,7 +454,7 @@ def test_modular_route_unimodular_basis(data):
     part = basis_partition(inst)
     assert part.det == 1
     assert _routes_agree(inst) is not None
-    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
     assert coset.point == (0,) * k and coset.gcd == 1
 
 

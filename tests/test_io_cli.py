@@ -186,6 +186,25 @@ def test_cli_verify_positional(tmp_path):
     assert main(["verify", "-i", path]) == 3
 
 
+def test_cli_verify_result_without_witness(tmp_path, capsys):
+    # a result file with "x": null verifies nothing: {"ok": false} goes to -o
+    # (or stdout) beside the note on stderr, so a stale {"ok": true} at -o
+    # from an earlier run is overwritten, and the exit code stays 1
+    inst = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    res = _write(tmp_path / "s.json", '{"x": ["0", "2", "0"]}')
+    out = tmp_path / "out.json"
+    assert main(["verify", "-i", inst, "-s", res, "-o", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"ok": True}
+    _write(tmp_path / "s.json", '{"x": null}')
+    assert main(["verify", "-i", inst, "-s", res, "-o", str(out)]) == 1
+    assert json.loads(out.read_text()) == {"ok": False}
+    assert "carries no witness" in capsys.readouterr().err
+    assert main(["verify", "-i", inst, "-s", res]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"ok": False}
+    assert "carries no witness" in captured.err
+
+
 def test_cli_frobenius(tmp_path, capsys):
     assert main(["frobenius", "6", "10", "15"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -25,7 +25,7 @@ def _records():
     inst = ProblemInstance(a=IntMat([[5, 2, 3]]), b=(1,))
     outcome, cond = solve_with_conditions(inst)
     part = cond.partition
-    coset = kernel_coset(part.det, part.adj, part.n_mat, inst.b)
+    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
     return [
         inst,
         outcome,

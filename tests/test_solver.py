@@ -30,7 +30,7 @@ def test_select_basis_leftmost():
     part = partition(IntMat([[5, 2, 3]]))
     assert part.basis_cols == (0,)
     assert part.order == (0, 1, 2)
-    assert (part.det, part.adj) == (5, ((1,),))
+    assert (part.det, part.adj, part.adj_n) == (5, ((1,),), ((2, 3),))
 
 
 def test_select_basis_skips_dependent():
@@ -38,7 +38,7 @@ def test_select_basis_skips_dependent():
     assert part.basis_cols == (1, 2)
     assert part.order == (1, 2, 0)
     assert part.b_mat == IntMat([[1, 2], [0, 3]]) and part.n_mat == IntMat([[0], [0]])
-    assert (part.det, part.adj) == (3, ((3, -2), (0, 1)))
+    assert (part.det, part.adj, part.adj_n) == (3, ((3, -2), (0, 1)), ((0,), (0,)))
     part = partition(IntMat([[1, 0, 7], [0, 1, 7]]))
     assert part.basis_cols == (0, 1)
     assert part.order == (0, 1, 2)
@@ -47,13 +47,11 @@ def test_select_basis_skips_dependent():
 def test_select_basis_rank_deficient():
     with pytest.raises(RankDeficientError):
         partition(IntMat([[1, 2, 3], [2, 4, 6]]))
-    with pytest.raises(RankDeficientError):
-        linalg.basis_adjugate(IntMat([[1, 2, 3], [2, 4, 6]]))
 
 
 def test_default_partition_eliminates_once(monkeypatch):
-    # the rank profile, det B and adj(B) come from one elimination; an
-    # explicit basis takes one elimination of B
+    # the rank profile, det B, adj(B) and adj(B) N come from one elimination
+    # of [A | I]; an explicit basis takes one elimination of [B | N | I]
     calls = []
     real = linalg._eliminate
 
