@@ -28,7 +28,6 @@ from .cone import (
 )
 from .errors import CapExceededError, DioboxError, InternalError
 from .frobenius import brauer_G, f_chain, frobenius_number_dp
-from .lattice import BasisPartition
 from .solver import (
     GEN_MODES,
     Conditions,
@@ -73,15 +72,16 @@ def _report_obj(rep: ConditionReport) -> dict:
 
 
 def _frobenius_section(inst: ProblemInstance) -> dict:
-    row = inst.a.row(0)
+    row = inst.a[0]
     if all(e > 0 for e in row) and math.gcd(*row) == 1:
         g = brauer_G(row)
         return {"G": str(g), "applies": inst.b[0] > g}
     return {"G": None, "applies": False}
 
 
-def _shifted_section(part: BasisPartition, rhs) -> dict:
-    rep = shifted_cone_report(part.det, part.adj, part.b_mat, part.n_mat, rhs)
+def _shifted_section(cond: Conditions) -> dict:
+    part = cond.partition
+    rep = shifted_cone_report(part.det, part.adj_n, part.b_mat, part.n_mat, cond.adj_b)
     if rep is None:
         return {"applicable": False, "holds": None}
     return {
@@ -96,7 +96,7 @@ def _condition_sections(inst: ProblemInstance, cond: Conditions) -> dict:
     if inst.a.rows == 1:
         out["frobenius"] = _frobenius_section(inst)
     if inst.a.rows == 2:
-        out["shifted_cone"] = _shifted_section(cond.partition, inst.b)
+        out["shifted_cone"] = _shifted_section(cond)
     return out
 
 
@@ -248,7 +248,7 @@ def cmd_bounds(args) -> int:
             "hermite_constant_threshold": "not evaluated",
         }
         if inst.a.rows == 2:
-            shifted = _shifted_section(part, inst.b)
+            shifted = _shifted_section(cond)
             if shifted["applicable"]:
                 obj["shift_squared"] = shifted["shift_squared"]
         _emit(iomod.dumps_canonical(obj), args.output)

@@ -20,7 +20,7 @@ from .errors import (
     WrongRowCountError,
     require,
 )
-from .linalg import IntMat, adjugate, det_exact, dot
+from .linalg import IntMat, _adj_mul, adjugate, det_exact, dot
 
 
 class FacetCheck(NamedTuple):
@@ -52,15 +52,13 @@ def max_col_norm_squared(mat: IntMat) -> int:
     return max((sum(e * e for e in mat.col(j)) for j in range(mat.cols)), default=0)
 
 
-def cone_coords(
-    det: int, adj: Sequence[Sequence[int]], point: Sequence[int]
-) -> tuple[int, ...]:
-    """``|det B| * B^-1 point`` from ``(det, adj) = adjugate(B)``.
+def cone_coords(det: int, adj_point: Sequence[int]) -> tuple[int, ...]:
+    """``|det B| * B^-1 point`` from ``det = det B`` and ``adj(B) point``.
 
     The sign of ``det`` is folded in, so coordinate i is nonnegative exactly
     when ``point`` is on the inner side of facet i of C_B.
     """
-    return tuple(dot(row, point) if det > 0 else -dot(row, point) for row in adj)
+    return tuple(adj_point) if det > 0 else tuple(-c for c in adj_point)
 
 
 def deep_cone_condition(
@@ -88,56 +86,58 @@ def deep_cone_condition(
         raise DimensionMismatchError(
             f"basis block has {b_mat.rows} rows, remaining block {n_mat.rows}"
         )
-    return deep_cone_report(det, adj, n_mat, gcd_a, rhs)
+    return deep_cone_report(det, adj, n_mat, gcd_a, _adj_mul(adj, rhs))
+
+
+def _deep_thresholds(det: int, adj, n_mat: IntMat, gcd_a: int) -> tuple[int, list[int]]:
+    # (g t)^2 = l_N^2 (D - g)^2, and per facet the (g t)^2 ||adj_i||^2 that g^2 p_i^2 must reach
+    scale = max_col_norm_squared(n_mat) * (abs(det) - gcd_a) ** 2
+    return scale, [scale * dot(row, row) for row in adj]
 
 
 def deep_cone_report(
-    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, gcd_a: int, rhs: Sequence[int]
+    det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, gcd_a: int, adj_b: Sequence[int]
 ) -> ConditionReport:
-    """``deep_cone_condition`` from ``(det, adj) = adjugate(B)``.
+    """``deep_cone_condition`` from ``(det, adj) = adjugate(B)``, ``adj_b = adj b``.
 
     With B^-1 = adj / det, g = gcd_a and D = |det|, facet i holds iff
     ``p_i >= 0`` and ``g^2 p_i^2 >= l_N^2 (D - g)^2 ||adj_i||^2`` for
-    ``p = D B^-1 rhs``: a comparison of integers.
+    ``p = D B^-1 b``: a comparison of integers.
     """
-    d = abs(det)
-    scale = max_col_norm_squared(n_mat) * (d - gcd_a) ** 2  # (g t)^2
-    g_sq = gcd_a * gcd_a
-    norms = [scale * dot(row, row) for row in adj]
-    coords = cone_coords(det, adj, rhs)
-    return _facet_report(coords, d, norms, g_sq * d * d, Fraction(scale, g_sq))
+    scale, norms = _deep_thresholds(det, adj, n_mat, gcd_a)
+    den, threshold = (gcd_a * det) ** 2, Fraction(scale, gcd_a * gcd_a)
+    return _facet_report(cone_coords(det, adj_b), abs(det), norms, den, threshold)
 
 
 def shifted_cone_report(
-    det: int, adj: Sequence[Sequence[int]], b_mat: IntMat, n_mat: IntMat, rhs: Sequence[int]
+    det: int, adj_n: Sequence[Sequence[int]], b_mat: IntMat, n_mat: IntMat, adj_b: Sequence[int]
 ) -> ConditionReport | None:
-    """Two-row test on ``(det, adj) = adjugate(B)``: is ``rhs`` in s*v + C_B?
+    """Two-row test on ``adj_n = adj(B) N`` and ``adj_b = adj(B) b``: is b in s*v + C_B?
 
-    Only defined when the cone of all columns equals C_B; returns None when
-    some column of ``n_mat`` falls outside C_B (test not applicable). Here
+    Only defined when the cone of all columns equals C_B, that is when no
+    entry of ``adj_n`` has the sign opposite to ``det``; None otherwise. Here
     v = B*1 + N*1 is the sum of all columns of A = (B | N) and
-    ``s = l_B * l_N * (|det B| - 1) / |det B|``. Membership of ``rhs - s*v``
+    ``s = l_B * l_N * (|det B| - 1) / |det B|``. Membership of ``b - s*v``
     in C_B is decided facet by facet on squares: with c = (|det B|-1)/|det B|
-    * (B^-1 v), facet i requires ``(B^-1 rhs)_i >= l_B*l_N*c_i``, compared as
+    * (B^-1 v), facet i requires ``(B^-1 b)_i >= l_B*l_N*c_i``, compared as
     ``lhs >= 0`` and ``lhs^2 >= l_B^2*l_N^2*c_i^2`` (c_i >= 0 once the cone
-    equality holds). With D = |det B|, ``p = D B^-1 rhs`` and
-    ``q = D B^-1 v`` that is ``D^2 p_i^2 >= l_B^2 l_N^2 (D - 1)^2 q_i^2``.
+    equality holds). With D = |det B|, ``p = D B^-1 b`` and
+    ``q_i = (D B^-1 v)_i = D + sign(det) sum_j adj_n[i][j]`` that is
+    ``D^2 p_i^2 >= l_B^2 l_N^2 (D - 1)^2 q_i^2``.
 
     Raises:
         WrongRowCountError: if the system does not have exactly two rows.
     """
     if b_mat.rows != 2:
         raise WrongRowCountError(f"shifted-cone test needs 2 rows, got {b_mat.rows}")
-    for j in range(n_mat.cols):
-        if any(c < 0 for c in cone_coords(det, adj, n_mat.col(j))):
-            return None
-    v = tuple(sum(b_mat.row(i)) + sum(n_mat.row(i)) for i in range(2))
-    q = cone_coords(det, adj, v)
-    require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (b_mat, n_mat, rhs))
+    if any(c < 0 for row in adj_n for c in cone_coords(det, row)):
+        return None
     d = abs(det)
+    q = tuple(d + c for c in cone_coords(det, tuple(map(sum, adj_n))))
+    require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (det, adj_n))
     scale = max_col_norm_squared(b_mat) * max_col_norm_squared(n_mat) * (d - 1) ** 2
     norms = [scale * c * c for c in q]
-    return _facet_report(cone_coords(det, adj, rhs), d, norms, d**4, Fraction(scale, d * d))
+    return _facet_report(cone_coords(det, adj_b), d, norms, d**4, Fraction(scale, d * d))
 
 
 def _facet_report(coords, d: int, nums, den: int, threshold: Fraction) -> ConditionReport:

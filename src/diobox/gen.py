@@ -6,10 +6,10 @@ import contextlib
 import math
 import random
 
-from .cone import cone_coords, deep_cone_report, max_col_norm_squared
+from .cone import _deep_thresholds, cone_coords, deep_cone_report
 from .errors import GenerationFailedError, SingularError, require
 from .lattice import BasisPartition, partition
-from .linalg import IntMat, dot, kernel_echelon
+from .linalg import IntMat, _adj_mul, dot, kernel_echelon
 from .solver import GEN_MODES, ProblemInstance
 
 _RETRIES = 1000
@@ -28,16 +28,14 @@ def push_into_deep_cone(part: BasisPartition, b: tuple[int, ...]) -> tuple[int, 
     """
     det, adj = part.det, part.adj
     gcd_a = kernel_echelon(det, part.adj_n)[1]
-    d = abs(det)
-    scale = max_col_norm_squared(part.n_mat) * (d - gcd_a) ** 2
+    _, norms = _deep_thresholds(det, adj, part.n_mat, gcd_a)
     shift = []
-    for p, row in zip(cone_coords(det, adj, b), adj):
-        v = scale * dot(row, row)
+    for p, v in zip(cone_coords(det, _adj_mul(adj, b)), norms):
         r = math.isqrt(v - 1) + 1 if v else 0  # ceil(sqrt(v))
-        shift.append(max(0, -((gcd_a * p - r) // (gcd_a * d))))
+        shift.append(max(0, -((gcd_a * p - r) // (gcd_a * abs(det)))))
     out = tuple(e + dot(row, shift) for e, row in zip(b, part.b_mat))
     require(
-        deep_cone_report(det, adj, part.n_mat, gcd_a, out).holds,
+        deep_cone_report(det, adj, part.n_mat, gcd_a, _adj_mul(adj, out)).holds,
         "deep-cone push: the shifted right-hand side fails the test",
         (part.b_mat, part.n_mat, b),
     )

@@ -8,15 +8,15 @@ elimination gives ``det B``, ``adj(B)`` and ``adj(B) N``. Dropping the m
 coordinates of B maps L bijectively onto the full-rank lattice
 ``L' = {z in Z^(n-m) : adj(B) N z = 0 (mod D)}``, D = |det B|, and the
 solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
-``kernel_coset`` builds both modulo D from ``adj(B) N`` through
-``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
+``kernel_coset`` builds both modulo D from ``adj(B) N`` and ``adj(B) b``
+through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
 unique lower-triangular basis with positive diagonal and reduced
 subdiagonal entries, and reducing a point of the coset into the half-open
 box spanned by the Gram-Schmidt vectors of that basis is the core step of
-the solver. ``lift`` carries a point of the coset back to a solution
-through ``adj(B)``; ``integer_solution_set`` lifts the coset point and the
-basis of L' that way, and ``special_basis`` runs ``hnf_mod`` modulo the
-determinant of its input.
+the solver. ``lift`` carries a point w of the coset back to a solution
+from the same products, ``(adj(B) b - adj(B) N w) / det B``;
+``integer_solution_set`` lifts the coset point and the basis of L' that
+way, and ``special_basis`` runs ``hnf_mod`` modulo its input's determinant.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, _scaled_solve, det_exact, dot, hnf_mod, kernel_echelon
+from .linalg import IntMat, _adj_mul, _scaled_solve, det_exact, dot, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(NamedTuple):
@@ -54,10 +54,10 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
     """Split ``A = (B | N)`` with B nonsingular.
 
     ``cols`` are the (0-based) columns of B; None picks the leftmost m
-    linearly independent columns, and one elimination of ``[A | I]`` then
-    gives them together with ``det B``, ``adj(B)`` and ``adj(B) N``. Explicit
-    columns take one elimination of ``[B | N | I]`` instead. The other
-    columns keep their order in N, which has no columns when A is square.
+    linearly independent columns; explicit columns move to the front and
+    must be the pivots. One elimination of ``[A | I]`` gives B with ``det B``,
+    ``adj(B)`` and ``adj(B) N``. The other columns keep their order in N,
+    which has no columns when A is square.
 
     Raises:
         RankDeficientError: if ``cols`` is None and A has no m independent
@@ -66,29 +66,28 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
         SingularError: if the chosen columns are singular.
     """
     m, n = a.rows, a.cols
-    eye = IntMat.identity(m)
-    if cols is None:
-        # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
-        cols, det, x = _scaled_solve(a, eye)
-        if not det:
-            raise RankDeficientError(f"matrix has rank {len(cols)}, expected {m}")
-        order = cols + tuple(j for j in range(n) if j not in cols)
-        n_mat = a.select_cols(order[m:])
-    else:
+    mat = a
+    if cols is not None:
         cols = tuple(cols)
         if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
             raise DimensionMismatchError(
                 f"basis columns must be {m} distinct indices below {n}, got {cols}"
             )
-        order = cols + tuple(j for j in range(n) if j not in cols)
-        n_mat = a.select_cols(order[m:])
-        _, det, x = _scaled_solve(a.select_cols(cols), [(*r, *e) for r, e in zip(n_mat, eye)])
+        mat = a.select_cols(cols + tuple(j for j in range(n) if j not in cols))
+    # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
+    pivots, det, x = _scaled_solve(mat, IntMat.identity(m))
+    if cols is None:
         if not det:
-            shown = [c + 1 for c in cols]  # as instance files give them
-            raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
+            raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {m}")
+        cols = pivots
+    elif pivots != tuple(range(m)):
+        shown = [c + 1 for c in cols]  # as instance files give them
+        raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
+    order = cols + tuple(j for j in range(n) if j not in cols)
     k = n - m
     adj, adj_n = tuple(tuple(r[k:]) for r in x), tuple(tuple(r[:k]) for r in x)
-    return BasisPartition(cols, order, a.select_cols(cols), n_mat, det, adj, adj_n)
+    b_mat, n_mat = a.select_cols(cols), a.select_cols(order[m:])
+    return BasisPartition(cols, order, b_mat, n_mat, det, adj, adj_n)
 
 
 def gcd_max_minors(mat: IntMat) -> int:
@@ -119,29 +118,29 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
     part = partition(mat)
-    coset = kernel_coset(part.det, part.adj, part.adj_n, rhs)
+    adj_b = _adj_mul(part.adj, rhs)
+    coset = kernel_coset(part.det, part.adj_n, adj_b)
     if coset.point is None:
         return None
     kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
-    x = lift(part, rhs, coset.point)
+    x = lift(part, adj_b, coset.point)
     require(mat.mul_vec(x) == tuple(rhs), "particular solution fails mat @ x = rhs", (mat, rhs))
     return AffineLatticeRep(x, kernel)
 
 
-def lift(part: BasisPartition, rhs, w) -> tuple[int, ...]:
-    """The solution x of ``(B | N) x = rhs`` whose N part is w, in the
-    original column order: the B part is ``u = adj(B) (rhs - N w) / det B``.
-    When N has no columns, w is empty.
+def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
+    """The solution x of ``(B | N) x = b`` whose N part is w, in the
+    original column order, from ``adj_b = adj(B) b``: the B part is
+    ``u = (adj_b - adj(B) N w) / det B``. When N has no columns, w is empty.
 
     Raises:
-        InternalError: if u is not integral: w is not in the coset of rhs.
+        InternalError: if u is not integral: w is not in the coset of b.
     """
-    residual = tuple(bi - ni for bi, ni in zip(rhs, part.n_mat.mul_vec(w)))
-    lifted = [divmod(dot(row, residual), part.det) for row in part.adj]
+    lifted = [divmod(x - dot(row, w), part.det) for x, row in zip(adj_b, part.adj_n)]
     require(
         all(r == 0 for _, r in lifted),
         "lift through the basis is not integral",
-        (part, rhs, w),
+        (part, adj_b, w),
     )
     x = [0] * len(part.order)
     for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
@@ -204,22 +203,19 @@ class KernelCoset(NamedTuple):
     point: tuple[int, ...] | None
 
 
-def kernel_coset(
-    det: int, adj: Sequence[Sequence[int]], adj_n: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> KernelCoset:
-    """L', the gcd and the solution coset of ``(B | N) x = rhs`` modulo D.
+def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int]) -> KernelCoset:
+    """L', the gcd and the solution coset of ``(B | N) x = b`` modulo D.
 
-    ``(det, adj) = adjugate(B)``, ``adj_n = adj N`` and D = |det B|. The
-    coset is found by reducing ``(0 ; adj rhs mod D)`` along the last m
+    ``adj_n = adj(B) N``, ``adj_b = adj(B) b`` and D = |det B|. The
+    coset is found by reducing ``(0 ; adj_b mod D)`` along the last m
     vectors of ``kernel_echelon``: a pivot that does not divide its entry
     means no integer solution; otherwise ``(-z0 ; 0)`` is left, with
-    ``adj_n z0 = adj rhs (mod D)``.
+    ``adj_n z0 = adj_b (mod D)``.
     """
     d, k = abs(det), len(adj_n[0])
     ech, gcd = kernel_echelon(det, adj_n)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
-    adj_rhs = [dot(row, rhs) for row in adj]
-    cur = [0] * k + [x % d for x in adj_rhs]
+    cur = [0] * k + [x % d for x in adj_b]
     for c in reversed(range(k, len(cur))):
         v = ech[c]
         q, r = divmod(cur[c], v[c])
@@ -228,19 +224,11 @@ def kernel_coset(
         cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
     point = tuple(-x % d for x in cur)
     require(
-        all((x - dot(row, point)) % d == 0 for x, row in zip(adj_rhs, adj_n)),
+        all((x - dot(row, point)) % d == 0 for x, row in zip(adj_b, adj_n)),
         "coset point fails adj(B) N z0 = adj(B) b (mod |det B|)",
-        (det, adj_n, rhs),
+        (det, adj_n, adj_b),
     )
     return KernelCoset(basis, gcd, point)
-
-
-def lattice_determinant(basis: SpecialBasis) -> int:
-    """Determinant of the lattice spanned by a reduced triangular basis."""
-    prod = 1
-    for v in basis.diagonal:
-        prod *= v
-    return prod
 
 
 class BoxReduction(NamedTuple):

@@ -48,6 +48,11 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
+def _adj_mul(adj: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    # adj(B) v: the one place a product of the adjugate with a vector is formed
+    return tuple(dot(row, v) for row in adj)
+
+
 class IntMat:
     """Immutable dense matrix of arbitrary-precision integers.
 
@@ -80,12 +85,6 @@ class IntMat:
     def identity(cls, n: int) -> "IntMat":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]]) -> "IntMat":
-        if not cols:
-            raise DimensionMismatchError("need at least one column")
-        return cls(zip(*cols))
-
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._data[i]
 
@@ -100,9 +99,6 @@ class IntMat:
 
     def __repr__(self) -> str:
         return f"IntMat({[list(r) for r in self._data]})"
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._data)
@@ -129,9 +125,6 @@ class IntMat:
                 f"cannot multiply {self.rows}x{self.cols} by vector of length {len(v)}"
             )
         return tuple(dot(row, v) for row in self._data)
-
-    def tolist(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
 
 
 def _eliminate(a: list[list[int]], width: int) -> tuple[list[int], int]:

@@ -1,16 +1,16 @@
 """End-to-end solver for nonnegative integer solutions of A x = b.
 
 Pipeline: pick a nonsingular column block B, whose one elimination gives
-``det B``, ``adj(B)`` and ``adj(B) N``, and decide integer feasibility
-modulo D = |det B| from ``adj(B) N``: the same reduction yields the
-triangular basis of the projected kernel lattice, a point of the projected
-solution coset and the gcd of the maximal minors. Reduce that point into
-the box of the triangular basis, then lift back through the basis block.
-The lifted point is always an integer solution; when it is nonnegative the
-instance is solved, otherwise the instance is classified integer-feasible
-only, together with an exact report saying whether the right-hand side was
-inside the guaranteed region (in which case nonnegativity could not have
-been missed).
+``det B``, ``adj(B)`` and ``adj(B) N``, form ``adj(B) b`` once, and decide
+integer feasibility modulo D = |det B| from those two products: the same
+reduction yields the triangular basis of the projected kernel lattice, a
+point of the projected solution coset and the gcd of the maximal minors.
+Reduce that point into the box of the triangular basis, then lift back
+from the same products. The lifted point is always an integer solution;
+when it is nonnegative the instance is solved, otherwise it is classified
+integer-feasible only, together with an exact report on ``adj(B) b``
+saying whether the right-hand side was inside the guaranteed region (in
+which case nonnegativity could not have been missed).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
 from .errors import DimensionMismatchError, require
-from .lattice import BasisPartition, box_reduce, kernel_coset, lattice_determinant, lift, partition
-from .linalg import IntMat, kernel_echelon
+from .lattice import BasisPartition, box_reduce, kernel_coset, lift, partition
+from .linalg import IntMat, _adj_mul, kernel_echelon
 
 
 class _InstanceFields(NamedTuple):
@@ -77,11 +77,12 @@ class SolveOutcome(NamedTuple):
 
 class Conditions(NamedTuple):
     """What the command line reports beside an outcome: the basis partition,
-    the gcd of the maximal minors of A, and the deep-cone report for b."""
+    the gcd of the maximal minors of A, the deep-cone report for b and adj(B) b."""
 
     partition: BasisPartition
     gcd: int
     report: ConditionReport
+    adj_b: tuple[int, ...]
 
 
 def basis_partition(inst: ProblemInstance) -> BasisPartition:
@@ -94,29 +95,29 @@ def basis_partition(inst: ProblemInstance) -> BasisPartition:
     return partition(inst.a, inst.basis_cols)
 
 
-def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int]:
-    # solve(), plus the partition and the gcd of the maximal minors of A,
-    # which the modular reduction gives for infeasible instances as well
+def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int, tuple[int, ...]]:
+    # solve(), plus the partition, adj(B) b and the gcd of the maximal minors
+    # of A, which the modular reduction gives for infeasible instances as well
     part = basis_partition(inst)
     a = inst.a
-    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
+    adj_b = _adj_mul(part.adj, inst.b)
+    coset = kernel_coset(part.det, part.adj_n, adj_b)
     gcd = coset.gcd
     if coset.point is None:
-        return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd
-    basis = coset.basis
-    red = box_reduce(basis.vectors, coset.point)
+        return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd, adj_b
+    red = box_reduce(coset.basis.vectors, coset.point)
     require(all(f.denominator == 1 for f in red.w), "box-reduced point is not integral", inst)
     w = tuple(int(f) for f in red.w)
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
-    require(box <= lattice_determinant(basis), "box-reduced point outside the box", inst)
-    x = lift(part, inst.b, w)
+    require(box <= abs(part.det) // gcd, "box-reduced point outside the box", inst)
+    x = lift(part, adj_b, w)
     require(a.mul_vec(x) == inst.b, "witness fails A x = b", inst)
     if all(e >= 0 for e in x):
-        return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd
-    report = deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b)
+        return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd, adj_b
+    report = deep_cone_report(part.det, part.adj, part.n_mat, gcd, adj_b)
     require(not report.holds, "deep-cone test holds for a witness not nonnegative", inst)
-    return SolveOutcome(status=SolveStatus.INTEGER_ONLY, x=x, report=report), part, gcd
+    return SolveOutcome(status=SolveStatus.INTEGER_ONLY, x=x, report=report), part, gcd, adj_b
 
 
 def solve(inst: ProblemInstance) -> SolveOutcome:
@@ -141,16 +142,18 @@ def solve(inst: ProblemInstance) -> SolveOutcome:
 
 def solve_with_conditions(inst: ProblemInstance) -> tuple[SolveOutcome, Conditions]:
     """``solve`` plus its ``Conditions``, each quantity computed once."""
-    outcome, part, gcd = _solve(inst)
-    report = outcome.report or deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b)
-    return outcome, Conditions(part, gcd, report)
+    outcome, part, gcd, adj_b = _solve(inst)
+    report = outcome.report or deep_cone_report(part.det, part.adj, part.n_mat, gcd, adj_b)
+    return outcome, Conditions(part, gcd, report, adj_b)
 
 
 def conditions(inst: ProblemInstance) -> Conditions:
     """The ``Conditions`` of an instance, without solving it."""
     part = basis_partition(inst)
     gcd = kernel_echelon(part.det, part.adj_n)[1]
-    return Conditions(part, gcd, deep_cone_report(part.det, part.adj, part.n_mat, gcd, inst.b))
+    adj_b = _adj_mul(part.adj, inst.b)
+    report = deep_cone_report(part.det, part.adj, part.n_mat, gcd, adj_b)
+    return Conditions(part, gcd, report, adj_b)
 
 
 def verify(a_mat: IntMat, b: Sequence[int], x: Sequence[int]) -> bool:

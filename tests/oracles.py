@@ -6,9 +6,11 @@ and the column Hermite normal form over the integers that the package used
 before it worked modulo |det B|, and the Gram-Schmidt box reduction the
 package ran before it orthogonalised in one pass, and the kernel echelon
 built from ``m * k`` products of ``adj(B)`` with N's columns, which the
-package ran before its elimination gave ``adj(B) N``. Nothing imports from
-the package's internals beyond plain data (``IntMat`` and the result
-records), ``dot``, ``xgcd``, ``hnf_mod`` and its exception types."""
+package ran before its elimination gave ``adj(B) N``, and the lift through
+the residual ``b - N w`` the package ran before it lifted from
+``adj(B) b``. Nothing imports from the package's internals beyond plain
+data (``IntMat`` and the result records), ``dot``, ``xgcd``, ``hnf_mod``,
+``require`` and its exception types."""
 
 import math
 from fractions import Fraction
@@ -22,7 +24,7 @@ from diobox.errors import (
     SingularError,
     require,
 )
-from diobox.lattice import AffineLatticeRep, SpecialBasis
+from diobox.lattice import AffineLatticeRep, BasisPartition, SpecialBasis
 from diobox.linalg import IntMat, dot, hnf_mod, xgcd
 
 
@@ -184,6 +186,22 @@ def deep_cone_reference(b_rows, n_rows, gcd_a, rhs):
     facets = _facets(binv, rhs, [t_sq * sum(e * e for e in row) for row in binv])
     holds = all(nonneg and lhs >= rhs_sq for lhs, rhs_sq, nonneg in facets)
     return holds, t_sq, facets
+
+
+def adj_products(b_rows, n_rows, rhs):
+    """``(det B, adj(B) N, adj(B) rhs)``, what the cone reports take, through
+    the cofactor determinant and the Fraction inverse of B; None when B is
+    singular."""
+    binv = inverse_rational([list(row) for row in b_rows])
+    if binv is None:
+        return None
+    det = det_cofactor([list(row) for row in b_rows])
+    adj = [[int(det * e) for e in row] for row in binv]
+    k = len(n_rows[0])
+    adj_n = tuple(
+        tuple(sum(a * n_row[j] for a, n_row in zip(row, n_rows)) for j in range(k)) for row in adj
+    )
+    return det, adj_n, tuple(sum(a * e for a, e in zip(row, rhs)) for row in adj)
 
 
 def shifted_cone_reference(a_rows, b_rows, n_rows, rhs):
@@ -357,6 +375,27 @@ def kernel_echelon_product(
     gcd = d // lat_det
     require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, n_mat))
     return ech, gcd
+
+
+def lift_residual(part: BasisPartition, rhs, w) -> tuple[int, ...]:
+    """The solution x of ``(B | N) x = rhs`` whose N part is w, in the
+    original column order: the B part is ``u = adj(B) (rhs - N w) / det B``.
+    When N has no columns, w is empty.
+
+    Raises:
+        InternalError: if u is not integral: w is not in the coset of rhs.
+    """
+    residual = tuple(bi - ni for bi, ni in zip(rhs, part.n_mat.mul_vec(w)))
+    lifted = [divmod(dot(row, residual), part.det) for row in part.adj]
+    require(
+        all(r == 0 for _, r in lifted),
+        "lift through the basis is not integral",
+        (part, rhs, w),
+    )
+    x = [0] * len(part.order)
+    for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
+        x[j] = v
+    return tuple(x)
 
 
 def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ from diobox import (
     ProblemInstance,
     RankDeficientError,
     SolveStatus,
-    adjugate,
     basis_partition,
     box_reduce,
     box_shape,
@@ -39,7 +38,6 @@ from diobox import (
     frobenius_number_dp,
     gcd_max_minors,
     integer_solution_set,
-    lattice_determinant,
     project_drop_m,
     shifted_cone_report,
     solve,
@@ -51,6 +49,7 @@ from diobox.gen import generate_instance
 
 from brute_force import EnumerationBudget, brute_force_solve
 from oracles import (
+    adj_products,
     hnf_column,
     hnf_shape_ok,
     in_cone,
@@ -211,7 +210,7 @@ def test_criterion_2_oracle_agreement(capsys):
     infeasible_seen = 0
     for inst in insts:
         out = solve(inst)
-        feasible = integer_feasible_minor_test(inst.a.tolist(), list(inst.b))
+        feasible = integer_feasible_minor_test([list(r) for r in inst.a], list(inst.b))
         if (out.status is SolveStatus.INFEASIBLE) != (not feasible):
             mismatches.append(("feasibility", inst))
             continue
@@ -257,7 +256,7 @@ def test_criterion_3_box_product_bound(capsys):
         prod = 1
         for f in red.w:
             prod *= 1 + int(f)
-        if prod > lattice_determinant(basis):
+        if prod > math.prod(basis.diagonal):
             bad.append(inst)
         checked += 1
     ok = not bad and checked >= 900
@@ -275,7 +274,7 @@ def test_criterion_4_determinant_identity(capsys):
         # the kernel lattice on the integer route, independent of the gcd
         rep = integer_solution_set_hnf(inst.a.select_cols(part.order), zero)
         basis = special_basis_hnf(project_drop_m(rep.kernel_basis, inst.a.rows))
-        lhs = lattice_determinant(basis) * gcd_max_minors(inst.a)
+        lhs = math.prod(basis.diagonal) * gcd_max_minors(inst.a)
         if lhs != abs(det_exact(part.b_mat)):
             bad.append(inst)
     ok = not bad
@@ -379,17 +378,17 @@ def test_criterion_7_shifted_cone_implication(capsys):
         )
         if gcd_max_minors(a_mat) != 1:
             continue
-        n_mat = IntMat.from_cols(cols)
+        n_mat = IntMat(zip(*cols))
         # with b = B (k, k) both cone coordinates equal k, so the smallest k
         # clearing every squared facet threshold can be read off directly
-        det, adj = adjugate(b_mat)
-        probe = shifted_cone_report(det, adj, b_mat, n_mat, (0, 0))
+        det, adj_n, _ = adj_products(b_mat, n_mat, (0, 0))
+        probe = shifted_cone_report(det, adj_n, b_mat, n_mat, (0, 0))
         k = max(_ceil_sqrt(f.rhs_squared) for f in probe.facets) + rng.randint(0, 3)
         b = b_mat.mul_vec((k, k))
-        rep = shifted_cone_report(det, adj, b_mat, n_mat, b)
-        assert rep is not None and rep.holds, (a_mat.tolist(), b)
+        rep = shifted_cone_report(det, adj_n, b_mat, n_mat, adj_products(b_mat, n_mat, b)[2])
+        assert rep is not None and rep.holds, ([list(r) for r in a_mat], b)
         if not deep_cone_condition(b_mat, n_mat, 1, b).holds:
-            bad.append((a_mat.tolist(), b))
+            bad.append(([list(r) for r in a_mat], b))
         if abs(det_exact(b_mat)) > 1:
             nontrivial += 1
         done += 1
@@ -424,11 +423,12 @@ def test_criterion_8_normal_form_recheck(capsys):
             or abs(det_exact(res.u)) != 1
             or not hnf_shape_ok(res.h, m)
         ):
-            bad.append(("hnf", mat.tolist()))
+            bad.append(("hnf", [list(r) for r in mat]))
         hnf_checked += 1
         if n <= 8 and minor_checked < 300:
-            if gcd_max_minors(mat) != minors_gcd(mat.tolist()):
-                bad.append(("gcd", mat.tolist()))
+            rows = [list(r) for r in mat]
+            if gcd_max_minors(mat) != minors_gcd(rows):
+                bad.append(("gcd", rows))
             minor_checked += 1
     ok = not bad
     _line(

@@ -8,7 +8,6 @@ from diobox import (
     IntMat,
     SingularError,
     WrongRowCountError,
-    adjugate,
     aliev_henk_p,
     aliev_henk_t_bound,
     deep_cone_condition,
@@ -17,7 +16,7 @@ from diobox import (
     shifted_cone_report,
 )
 
-from oracles import in_cone
+from oracles import adj_products, in_cone
 
 
 def _random_nonsingular(rng, m, bound=9):
@@ -114,15 +113,20 @@ def test_deep_cone_errors():
         deep_cone_condition(IntMat.identity(2), IntMat([[1], [1]]), 0, (1, 1))
 
 
+def _inputs(b_mat, n_mat, point):
+    # shifted_cone_report's arguments: det B, adj(B) N, B, N and adj(B) point
+    det, adj_n, adj_b = adj_products(b_mat, n_mat, point)
+    return det, adj_n, b_mat, n_mat, adj_b
+
+
 def test_shifted_cone_worked_example():
     # A = (B | N) = [[2, 0, 1], [0, 2, 1]]
     b_mat = IntMat([[2, 0], [0, 2]])
     n_mat = IntMat([[1], [1]])
-    det, adj = adjugate(b_mat)
-    rep = shifted_cone_report(det, adj, b_mat, n_mat, (7, 7))
+    rep = shifted_cone_report(*_inputs(b_mat, n_mat, (7, 7)))
     assert rep is not None and rep.holds
     assert rep.threshold_squared == Fraction(9, 2)  # s^2 = 4 * 2 * (3/4)^2
-    rep = shifted_cone_report(det, adj, b_mat, n_mat, (6, 6))
+    rep = shifted_cone_report(*_inputs(b_mat, n_mat, (6, 6)))
     assert rep is not None and not rep.holds
 
 
@@ -130,14 +134,14 @@ def test_shifted_cone_not_applicable():
     # a column outside the basis cone disables the test
     b_mat = IntMat([[1, 0], [0, 1]])
     n_mat = IntMat([[-1], [2]])
-    assert shifted_cone_report(*adjugate(b_mat), b_mat, n_mat, (5, 5)) is None
+    assert shifted_cone_report(*_inputs(b_mat, n_mat, (5, 5))) is None
 
 
 def test_shifted_cone_wrong_row_count():
     a = IntMat([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     b_mat = a.select_cols([0, 1, 2])
     with pytest.raises(WrongRowCountError):
-        shifted_cone_report(*adjugate(b_mat), b_mat, a.select_cols([3]), (1, 1, 1))
+        shifted_cone_report(*_inputs(b_mat, a.select_cols([3]), (1, 1, 1)))
 
 
 def test_shifted_cone_unimodular_is_membership():
@@ -152,7 +156,7 @@ def test_shifted_cone_unimodular_is_membership():
         col = b_mat.mul_vec(y)
         n_mat = IntMat([[col[0]], [col[1]]])
         point = tuple(rng.randint(-20, 20) for _ in range(2))
-        rep = shifted_cone_report(*adjugate(b_mat), b_mat, n_mat, point)
+        rep = shifted_cone_report(*_inputs(b_mat, n_mat, point))
         assert rep is not None
         assert rep.threshold_squared == 0
         assert rep.holds == in_cone(b_mat, point)
@@ -173,7 +177,7 @@ def test_shifted_implies_deep_smoke():
             if y == (0, 0):
                 y = (1, 1)
             cols.append(b_mat.mul_vec(y))
-        n_mat = IntMat.from_cols(cols)
+        n_mat = IntMat(zip(*cols))
         a = IntMat(
             [list(b_mat[i]) + [c[i] for c in cols] for i in range(2)]
         )
@@ -183,9 +187,8 @@ def test_shifted_implies_deep_smoke():
         base = a.mul_vec(x)
         shift = b_mat.mul_vec((1, 1))
         point = base
-        det, adj = adjugate(b_mat)
         for _ in range(200):
-            rep = shifted_cone_report(det, adj, b_mat, n_mat, point)
+            rep = shifted_cone_report(*_inputs(b_mat, n_mat, point))
             assert rep is not None
             if rep.holds:
                 break
@@ -193,7 +196,7 @@ def test_shifted_implies_deep_smoke():
         else:
             continue
         deep = deep_cone_condition(b_mat, n_mat, 1, point)
-        assert deep.holds, (a.tolist(), point)
+        assert deep.holds, ([list(r) for r in a], point)
         done += 1
 
 

@@ -31,9 +31,11 @@ from diobox import (
     solve_rational,
     special_basis,
 )
+from diobox.cone import deep_cone_report
+from diobox.errors import InternalError
 from diobox.gen import push_into_deep_cone
 from diobox.lattice import kernel_coset, lift
-from diobox.linalg import dot, hnf_mod, kernel_echelon
+from diobox.linalg import _adj_mul, dot, hnf_mod, kernel_echelon
 from diobox.solver import conditions
 from oracles import (
     deep_cone_reference,
@@ -43,6 +45,7 @@ from oracles import (
     integer_solution_set_hnf,
     inverse_rational,
     kernel_echelon_product,
+    lift_residual,
     minors_gcd,
     shifted_cone_reference,
     solve_fraction,
@@ -201,6 +204,10 @@ def test_deep_cone_report_matches_fraction_inverse(data):
     rep = deep_cone_condition(IntMat(b_rows), IntMat(n_rows), gcd_a, rhs)
     assert _report_tuple(rep) == want
     assert rep.holds == all(f.satisfied for f in rep.facets)
+    # the report the solver prints, from the partition of (B | N) and adj(B) b
+    part = partition(IntMat([rb + rn for rb, rn in zip(b_rows, n_rows)]), range(m))
+    got = deep_cone_report(part.det, part.adj, part.n_mat, gcd_a, _adj_mul(part.adj, rhs))
+    assert _report_tuple(got) == want
 
 
 @SETTINGS
@@ -217,9 +224,12 @@ def test_shifted_cone_report_matches_fraction_inverse(data):
     want = shifted_cone_reference(a_rows, b_rows, n_rows, rhs)
     if want is None:
         with pytest.raises(SingularError):
-            adjugate(IntMat(b_rows))
+            partition(IntMat(a_rows), (0, 1))
         return
-    rep = shifted_cone_report(*adjugate(IntMat(b_rows)), IntMat(b_rows), IntMat(n_rows), rhs)
+    # the report the command line prints: from the partition and adj(B) b
+    part = partition(IntMat(a_rows), (0, 1))
+    adj_b = _adj_mul(part.adj, rhs)
+    rep = shifted_cone_report(part.det, part.adj_n, part.b_mat, part.n_mat, adj_b)
     assert (rep is None) if want == "n/a" else _report_tuple(rep) == want
 
 
@@ -277,13 +287,13 @@ def _routes_agree(inst, oracle_gcd=True):
     the instance has no integer solution."""
     part = basis_partition(inst)
     m, d = inst.a.rows, abs(part.det)
-    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
     rep = integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     assert (coset.point is None) == (rep is None)
     # the gcd, for infeasible instances too
     assert coset.gcd == math.prod(hnf_column(inst.a).h[i][i] for i in range(m))
     if oracle_gcd:
-        assert coset.gcd == minors_gcd(inst.a.tolist())
+        assert coset.gcd == minors_gcd([list(r) for r in inst.a])
     basis = coset.basis.vectors
     assert math.prod(coset.basis.diagonal) * coset.gcd == d
     for i, v in enumerate(basis):
@@ -371,7 +381,7 @@ def test_square_system_takes_general_path(data):
         b = tuple(data.draw(_vector(m)))
     part = partition(mat)
     assert (part.n_mat.rows, part.n_mat.cols) == (m, 0)
-    coset = kernel_coset(part.det, part.adj, part.adj_n, b)
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
     assert coset.basis.vectors == () and coset.gcd == abs(det)
     want = solve_fraction(rows, b)
     if any(f.denominator != 1 for f in want):
@@ -379,8 +389,57 @@ def test_square_system_takes_general_path(data):
         return
     x = tuple(int(f) for f in want)
     assert coset.point == ()
-    assert lift(part, b, ()) == x
+    assert lift(part, _adj_mul(part.adj, b), ()) == x
     assert integer_solution_set(mat, b) == (x, ()) == integer_solution_set_hnf(mat, b)
+
+
+@st.composite
+def lift_cases(draw):
+    """``(rows, cols, x, coeffs, shift)``: a ``partitioned`` matrix, an x
+    for ``b = A x``, the coefficients of a lattice vector added to the coset
+    point, and a shift that moves the point off the coset when not zero."""
+    rows, cols, _ = draw(partitioned())
+    n, k = len(rows[0]), len(rows[0]) - len(rows)
+    x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    shift = draw(st.one_of(st.just([0] * k), small))
+    return rows, cols, x, coeffs, shift
+
+
+@SETTINGS
+@given(lift_cases())
+@hypothesis.example(([[2, 1], [1, 3]], None, [1, 2], [], []))  # square A: k = 0
+@hypothesis.example(([[-6, 4, 9, 15]], None, [1, 0, 2, 1], [1, -1, 2], [0, 1, 0]))  # det B < 0
+@hypothesis.example(([[3, 1, 4, 1], [5, 9, 2, 6]], (1, 0), [2, 0, 1, 3], [1, 2], [0, 0]))
+def test_lift_matches_residual_lift(case):
+    # the lift from adj(B) b and adj(B) N against the residual lift it
+    # replaced: both raise, or both give the same solution of A x = b. The
+    # pinned examples are a square A, a negative det B off the coset, and
+    # explicit columns with det B = -22
+    rows, cols, x, coeffs, shift = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    b = mat.mul_vec(x)
+    adj_b = _adj_mul(part.adj, b)
+    coset = kernel_coset(part.det, part.adj_n, adj_b)
+    basis = coset.basis.vectors
+    w = [
+        p + s + sum(c * v[j] for c, v in zip(coeffs, basis))
+        for j, (p, s) in enumerate(zip(coset.point, shift))
+    ]
+    try:
+        want = lift_residual(part, b, w)
+    except InternalError:
+        assert any(shift)
+        with pytest.raises(InternalError):
+            lift(part, adj_b, w)
+        return
+    assert lift(part, adj_b, w) == want
+    assert mat.mul_vec(want) == b
 
 
 @st.composite
@@ -425,7 +484,7 @@ def test_box_reduce_is_the_triangular_sweep(inst, data):
         part = basis_partition(inst)
     except (RankDeficientError, SingularError):
         return
-    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
     if coset.point is None:
         return
     basis, k = coset.basis.vectors, len(coset.point)
@@ -448,13 +507,13 @@ def test_modular_route_unimodular_basis(data):
     small = st.integers(-4, 4)
     lo = [[1 if i == j else data.draw(small) if j < i else 0 for j in range(m)] for i in range(m)]
     up = [[1 if i == j else data.draw(small) if j > i else 0 for j in range(m)] for i in range(m)]
-    b_rows = (IntMat(lo) @ IntMat(up)).tolist()
+    b_rows = [list(r) for r in IntMat(lo) @ IntMat(up)]
     rows = [rb + data.draw(_vector(k)) for rb in b_rows]
     inst = ProblemInstance(a=IntMat(rows), b=tuple(data.draw(_vector(m))), basis_cols=tuple(range(m)))
     part = basis_partition(inst)
     assert part.det == 1
     assert _routes_agree(inst) is not None
-    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
     assert coset.point == (0,) * k and coset.gcd == 1
 
 
@@ -502,7 +561,7 @@ def test_modular_route_large_system(seed, feasible):
 @SETTINGS
 @given(instances(explicit=False))
 def test_one_gcd_source(inst):
-    want = minors_gcd(inst.a.tolist())
+    want = minors_gcd([list(r) for r in inst.a])
     if want == 0:  # dependent rows
         with pytest.raises(RankDeficientError):
             conditions(inst)

@@ -57,16 +57,17 @@ def test_golden_output(name, code, args, monkeypatch):
     assert got_code == int(code)
 
 
-# (_eliminate calls, kernel_echelon calls) of one command: the basis
-# partition is the only elimination of B; check and bounds add det(A A^T)
-# for the diagnostic bound
+# (_eliminate calls, kernel_echelon calls, adj(B) v products) of one
+# command: the basis partition is the only elimination of B, and adj(B) b is
+# formed once; check and bounds add det(A A^T) for the diagnostic bound, and
+# gen deep forms adj(B) b for b and for the pushed b
 CALLS = {
-    "solve": (1, 1),
-    "check": (2, 1),
-    "bounds": (2, 1),
-    "gen feasible": (1, 0),
-    "gen deep": (1, 1),
-    "gen boundary": (1, 0),
+    "solve": (1, 1, 1),
+    "check": (2, 1, 1),
+    "bounds": (2, 1, 1),
+    "gen feasible": (1, 0, 0),
+    "gen deep": (1, 1, 2),
+    "gen boundary": (1, 0, 0),
 }
 
 
@@ -75,7 +76,7 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     # every golden gen seed keeps its first draw of A, so each command,
     # gen included, builds exactly one BasisPartition
     monkeypatch.chdir(ROOT)
-    funcs = (linalg._eliminate, linalg.kernel_echelon, lattice.partition)
+    funcs = (linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition)
     codes = [f.__code__ for f in funcs]
     counts = [0] * len(codes)
 

@@ -46,7 +46,7 @@ def test_intmat_shape_and_access():
     assert m.select_cols([2, 0]) == IntMat([[3, 1], [6, 4]])
     assert m.mul_vec((1, 1, 1)) == (6, 15)
     assert IntMat.identity(2) @ m == m
-    assert IntMat.from_cols([(1, 4), (2, 5), (3, 6)]) == m
+    assert IntMat(zip(*[(1, 4), (2, 5), (3, 6)])) == m
 
 
 def test_intmat_rejects_bad_input():
@@ -68,7 +68,7 @@ def test_intmat_without_columns():
     assert (empty.rows, empty.cols) == (2, 0)
     assert IntMat([[1, 2], [3, 4]]).select_cols([]) == empty
     assert empty.mul_vec(()) == (0, 0)
-    assert empty.tolist() == [[], []] and list(empty) == [(), ()]
+    assert [list(r) for r in empty] == [[], []] and list(empty) == [(), ()]
     with pytest.raises(DimensionMismatchError):
         IntMat([[], [1]])
     with pytest.raises(DimensionMismatchError):
@@ -251,11 +251,11 @@ def test_inverse_rational():
         n = rng.randint(1, 4)
         mat = IntMat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         if det_exact(mat) == 0:
-            assert inverse_rational(mat.tolist()) is None
+            assert inverse_rational([list(r) for r in mat]) is None
             with pytest.raises(SingularError):
                 adjugate(mat)
             continue
-        inv = inverse_rational(mat.tolist())
+        inv = inverse_rational([list(r) for r in mat])
         for i in range(n):
             for j in range(n):
                 acc = sum(inv[i][k] * mat[k][j] for k in range(n))

@@ -18,6 +18,7 @@ from diobox import (
     special_basis,
 )
 from diobox.lattice import kernel_coset
+from diobox.linalg import _adj_mul
 from diobox.solver import solve_with_conditions
 
 
@@ -25,7 +26,7 @@ def _records():
     inst = ProblemInstance(a=IntMat([[5, 2, 3]]), b=(1,))
     outcome, cond = solve_with_conditions(inst)
     part = cond.partition
-    coset = kernel_coset(part.det, part.adj, part.adj_n, inst.b)
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
     return [
         inst,
         outcome,

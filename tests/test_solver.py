@@ -51,7 +51,8 @@ def test_select_basis_rank_deficient():
 
 def test_default_partition_eliminates_once(monkeypatch):
     # the rank profile, det B, adj(B) and adj(B) N come from one elimination
-    # of [A | I]; an explicit basis takes one elimination of [B | N | I]
+    # of [A | I]; explicit basis columns move to the front, and then the same
+    # elimination runs over all of A
     calls = []
     real = linalg._eliminate
 
@@ -66,7 +67,20 @@ def test_default_partition_eliminates_once(monkeypatch):
     assert calls == [4]
     calls.clear()
     assert partition(inst.a, (2, 3)).det == 7
-    assert calls == [2]
+    assert calls == [4]
+
+
+def test_explicit_basis_moves_to_the_front():
+    # a singular choice raises with the 1-based columns; a nonsingular one
+    # out of order gives the det B, adj(B) and adj(B) N it gave when
+    # explicit columns took their own elimination of [B | N | I]
+    a = IntMat([[1, 2, 3], [2, 4, 5]])
+    with pytest.raises(SingularError, match=r"\[1, 2\]"):
+        partition(a, (0, 1))
+    part = partition(a, (2, 0))
+    assert (part.basis_cols, part.order) == ((2, 0), (2, 0, 1))
+    assert part.b_mat == IntMat([[3, 1], [5, 2]]) and part.n_mat == IntMat([[2], [4]])
+    assert (part.det, part.adj, part.adj_n) == (1, ((2, -1), (-5, 3)), ((0,), (2,)))
 
 
 def test_instance_validation():
