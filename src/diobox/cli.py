@@ -5,6 +5,10 @@ succeeded), 1 integer-feasible only, 2 integer infeasible, 3 input error,
 4 internal error.
 All file input and output is UTF-8 JSON with numeric entries as decimal
 strings; see the io module for the exact shape.
+
+``solve`` runs here. The other commands live in ``diobox.commands``, which
+``main`` imports only for them, so a ``diobox solve`` process compiles and
+loads only the solve path.
 """
 
 from __future__ import annotations
@@ -18,25 +22,9 @@ import sys
 import time
 
 from . import io as iomod
-from .cone import (
-    ConditionReport,
-    aliev_henk_p,
-    aliev_henk_t_bound,
-    approx_sqrt,
-    max_col_norm_squared,
-    shifted_cone_report,
-)
-from .errors import CapExceededError, DioboxError, InternalError
-from .frobenius import brauer_G, f_chain, frobenius_number_dp
-from .solver import (
-    GEN_MODES,
-    Conditions,
-    ProblemInstance,
-    SolveStatus,
-    conditions,
-    solve_with_conditions,
-    verify,
-)
+from .cone import ConditionReport, shifted_cone_report
+from .errors import DioboxError, InternalError
+from .solver import GEN_MODES, Conditions, ProblemInstance, SolveStatus, solve_with_conditions
 
 _EXIT = {
     SolveStatus.NONNEGATIVE: 0,
@@ -72,6 +60,8 @@ def _report_obj(rep: ConditionReport) -> dict:
 
 
 def _frobenius_section(inst: ProblemInstance) -> dict:
+    from .frobenius import brauer_G  # only one-row instances load it
+
     row = inst.a[0]
     if all(e > 0 for e in row) and math.gcd(*row) == 1:
         g = brauer_G(row)
@@ -172,89 +162,6 @@ def cmd_solve(args) -> int:
     return solve_directory(args.batch, not args.no_timing)
 
 
-def cmd_check(args) -> int:
-    inst = iomod.load_instance(args.instance)
-    cond = conditions(inst)
-    with _unlimited_digits():
-        obj = _condition_sections(inst, cond)
-        obj["projection_bound"] = {"approx": True, "value": aliev_henk_t_bound(inst.a)}
-        _emit(iomod.dumps_canonical(obj), args.output)
-    return 0
-
-
-def cmd_gen(args) -> int:
-    from .gen import generate_instance  # only ``gen`` loads the generator
-
-    inst = generate_instance(
-        m=args.m, n=args.n, seed=args.seed, mode=args.mode, max_entry=args.max_entry
-    )
-    with _unlimited_digits():
-        _emit(iomod.dumps_canonical(iomod.instance_to_obj(inst)), args.output)
-    return 0
-
-
-def cmd_frobenius(args) -> int:
-    entries = tuple(args.entries)
-    chain = f_chain(entries)
-    with _unlimited_digits():
-        obj = {
-            "entries": [str(e) for e in entries],
-            "f_chain": [str(e) for e in chain],
-            "G": str(brauer_G(entries)),
-        }
-        try:
-            obj["F"] = str(frobenius_number_dp(entries, cap=args.cap))
-        except CapExceededError:
-            obj["F"] = None
-            obj["note"] = f"smallest entry exceeds cap {args.cap}"
-        _emit(iomod.dumps_canonical(obj), args.output)
-    return 0
-
-
-def cmd_verify(args) -> int:
-    inst = iomod.load_instance(args.instance)
-    if args.solution is not None and args.x:
-        raise DioboxError("give either positional entries or --solution, not both")
-    if args.solution is not None:
-        x = iomod.load_result_x(args.solution)
-        if x is None:  # nothing to verify: {"ok": false}, and the note
-            print("result file carries no witness vector", file=sys.stderr)
-    elif args.x:
-        x = tuple(iomod.parse_int(e, "argument") for e in args.x)
-    else:
-        raise DioboxError("no candidate solution given")
-    ok = x is not None and verify(inst.a, inst.b, x)
-    _emit(iomod.dumps_canonical({"ok": ok}), args.output)
-    return 0 if ok else 1
-
-
-def cmd_bounds(args) -> int:
-    inst = iomod.load_instance(args.instance)
-    cond = conditions(inst)
-    part = cond.partition
-    t_sq = cond.report.threshold_squared
-    with _unlimited_digits():
-        obj = {
-            "basis_cols": [c + 1 for c in part.basis_cols],
-            "det_b": str(part.det),
-            "gcd": str(cond.gcd),
-            "lattice_determinant": str(abs(part.det) // cond.gcd),
-            "l_b_squared": str(max_col_norm_squared(part.b_mat)),
-            "l_n_squared": str(max_col_norm_squared(part.n_mat)),
-            "deep_threshold_squared": str(t_sq),
-            "deep_threshold": {"approx": True, "value": approx_sqrt(*t_sq.as_integer_ratio())},
-            "projection_bound": {"approx": True, "value": aliev_henk_t_bound(inst.a)},
-            "p_factor": {"approx": True, "value": aliev_henk_p(inst.a.rows, inst.a.cols)},
-            "hermite_constant_threshold": "not evaluated",
-        }
-        if inst.a.rows == 2:
-            shifted = _shifted_section(cond)
-            if shifted["applicable"]:
-                obj["shift_squared"] = shifted["shift_squared"]
-        _emit(iomod.dumps_canonical(obj), args.output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diobox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,11 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit wall-clock timing so reruns are byte-identical",
     )
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="report guarantee conditions without solving")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--m", type=int, required=True, help="number of equations")
@@ -280,22 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=GEN_MODES, default="feasible")
     p.add_argument("--max-entry", type=int, default=10, help="entry range is +-MAX")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("frobenius", help="f-chain, Brauer bound, Frobenius number")
     p.add_argument("entries", type=int, nargs="+", help="positive coprime entries")
     p.add_argument("--cap", type=int, default=10**6, help="residue table cap")
-    p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("verify", help="check a candidate nonnegative solution")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
     p.add_argument("x", nargs="*", help="candidate entries")
     p.add_argument("-s", "--solution", metavar="FILE", help="result file to read x from")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="exact and diagnostic bounds for an instance")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
-    p.set_defaults(func=cmd_bounds)
 
     for p in sub.choices.values():  # main's failure rule reads every command's -o
         p.add_argument("-o", "--output", metavar="FILE", help="output file (default stdout)")
@@ -311,7 +212,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "solve":
+            return cmd_solve(args)
+        from . import commands  # only the other commands load their code
+
+        return getattr(commands, f"cmd_{args.command}")(args)
     except Exception as exc:  # every failure leaves with an exit code and one line
         _discard_output(args.output, *(getattr(args, a, None) for a in ("instance", "solution")))
         code, line = _failure(exc)

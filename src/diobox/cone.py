@@ -4,23 +4,19 @@ For a nonsingular integer matrix B the cone C_B is the set of nonnegative
 real combinations of its columns. Membership and "distance at least t from
 every facet" are decided exactly by comparing squares of integers built
 from the adjugate of B, so no square root is ever taken on the decision
-path; rationals appear only in the reports. The only float in this
-module is the explicitly approximate diagnostic bound at the bottom.
+path; rationals appear only in the reports. There is no float in this
+module: the approximate diagnostics that ``check`` and ``bounds`` print
+live in ``diobox.commands``, and ``deep_cone_condition``, the report from
+the blocks B and N, in ``diobox.reference``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    RankDeficientError,
-    WrongRowCountError,
-    require,
-)
-from .linalg import IntMat, _adj_mul, adjugate, det_exact, dot
+from .errors import WrongRowCountError, require
+from .linalg import IntMat, dot
 
 
 class FacetCheck(NamedTuple):
@@ -59,34 +55,6 @@ def cone_coords(det: int, adj_point: Sequence[int]) -> tuple[int, ...]:
     when ``point`` is on the inner side of facet i of C_B.
     """
     return tuple(adj_point) if det > 0 else tuple(-c for c in adj_point)
-
-
-def deep_cone_condition(
-    b_mat: IntMat, n_mat: IntMat, gcd_a: int, rhs: Sequence[int]
-) -> ConditionReport:
-    """Exact test that ``rhs`` lies in C_B at depth t = l_N * (D - 1).
-
-    Here D = |det B| / gcd_a and l_N is the largest Euclidean column norm of
-    ``n_mat``. A point x of the simplicial cone C_B has distance
-    ``(B^-1 x)_i / ||row_i(B^-1)||`` to the i-th facet hyperplane, because
-    that facet is ``{y : (B^-1 y)_i = 0}`` with normal row_i(B^-1). So x is
-    at depth t iff for every i: ``(B^-1 x)_i >= 0`` and
-    ``(B^-1 x)_i^2 >= t^2 * ||row_i(B^-1)||^2``. When the report holds for a
-    right-hand side that is integer feasible, the solver's box-reduced point
-    is guaranteed nonnegative.
-
-    Raises:
-        SingularError: if ``b_mat`` is singular.
-        ValueError: if ``gcd_a`` is not positive.
-    """
-    if gcd_a < 1:
-        raise ValueError(f"gcd must be a positive integer, got {gcd_a}")
-    det, adj = adjugate(b_mat)
-    if b_mat.rows != n_mat.rows:
-        raise DimensionMismatchError(
-            f"basis block has {b_mat.rows} rows, remaining block {n_mat.rows}"
-        )
-    return deep_cone_report(det, adj, n_mat, gcd_a, _adj_mul(adj, rhs))
 
 
 def _deep_thresholds(det: int, adj, n_mat: IntMat, gcd_a: int) -> tuple[int, list[int]]:
@@ -152,47 +120,3 @@ def _facet_report(coords, d: int, nums, den: int, threshold: Fraction) -> Condit
             for i, (p, r) in enumerate(zip(coords, nums))
         ),
     )
-
-
-def approx_sqrt(num: int, den: int = 1) -> float | None:
-    """``sqrt(num / den)`` as a float, or None when it exceeds the largest
-    double; ``num >= 0`` and ``den > 0`` are integers of any size.
-
-    The root is taken before the value has to fit a double: a quotient above
-    2^1000 is divided by a power of 4, ``4^k``, and ``ldexp`` multiplies its
-    root by ``2^k``. Below that it is ``math.sqrt(num / den)`` itself.
-    """
-    k = max(0, num.bit_length() - den.bit_length() - 1000) // 2
-    try:
-        return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
-    except OverflowError:
-        return None
-
-
-def aliev_henk_p(m: int, n: int) -> float:
-    """Dimension factor sqrt((n - m) * n / 2) used by the diagnostic bound."""
-    return math.sqrt((n - m) * n / 2)
-
-
-def aliev_henk_t_bound(a_mat: IntMat) -> float | None:
-    """Approximate upper bound 2^((n-m)/2 - 1) * p(m, n) * sqrt(det(A A^T)).
-
-    Purely diagnostic: a float estimate of how deep the guaranteed region
-    sits, never used on any decision path. None when the bound exceeds the
-    largest double.
-
-    Raises:
-        RankDeficientError: if the rows are linearly dependent.
-    """
-    m, n = a_mat.rows, a_mat.cols
-    gram = det_exact(a_mat @ a_mat.transpose())
-    if gram <= 0:
-        raise RankDeficientError("rows are linearly dependent")
-    root = approx_sqrt(gram)
-    if root is None:
-        return None
-    try:
-        value = 2.0 ** ((n - m) / 2 - 1) * aliev_henk_p(m, n) * root
-    except OverflowError:  # 2^((n-m)/2 - 1) alone is beyond a double
-        return None
-    return value if math.isfinite(value) else None

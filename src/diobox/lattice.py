@@ -14,9 +14,10 @@ unique lower-triangular basis with positive diagonal and reduced
 subdiagonal entries, and reducing a point of the coset into the half-open
 box spanned by the Gram-Schmidt vectors of that basis is the core step of
 the solver. ``lift`` carries a point w of the coset back to a solution
-from the same products, ``(adj(B) b - adj(B) N w) / det B``;
-``integer_solution_set`` lifts the coset point and the basis of L' that
-way, and ``special_basis`` runs ``hnf_mod`` modulo its input's determinant.
+from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
+reference routines built on these, ``integer_solution_set`` (which lifts
+the coset point and the basis of L' that way) and ``special_basis``, live
+in ``diobox.reference``, which the solve path never loads.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, _adj_mul, _scaled_solve, det_exact, dot, hnf_mod, kernel_echelon
-
-
-class AffineLatticeRep(NamedTuple):
-    """A particular integer solution plus a basis of the kernel lattice."""
-
-    particular: tuple[int, ...]
-    kernel_basis: tuple[tuple[int, ...], ...]
+from .linalg import IntMat, _scaled_solve, dot, kernel_echelon
 
 
 class BasisPartition(NamedTuple):
@@ -90,44 +84,6 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
     return BasisPartition(cols, order, b_mat, n_mat, det, adj, adj_n)
 
 
-def gcd_max_minors(mat: IntMat) -> int:
-    """gcd of all maximal (rows x rows) minors, always positive.
-
-    Reads the gcd off ``kernel_echelon`` of the leftmost basis partition.
-
-    Raises:
-        RankDeficientError: if the matrix does not have full row rank
-            (all maximal minors vanish, the gcd is not defined here).
-    """
-    part = partition(mat)
-    return kernel_echelon(part.det, part.adj_n)[1]
-
-
-def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | None:
-    """Describe all integer solutions of ``mat @ x = rhs``.
-
-    Returns None when the system has no integer solution, otherwise a
-    particular solution together with ``n - m`` kernel basis vectors: the
-    ``kernel_coset`` point and basis of L' for the leftmost nonsingular
-    column block B, carried back through ``adj(B)`` by ``lift``.
-
-    Raises:
-        RankDeficientError: if the rows of ``mat`` are linearly dependent.
-        DimensionMismatchError: if ``rhs`` has the wrong length.
-    """
-    if len(rhs) != mat.rows:
-        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    part = partition(mat)
-    adj_b = _adj_mul(part.adj, rhs)
-    coset = kernel_coset(part.det, part.adj_n, adj_b)
-    if coset.point is None:
-        return None
-    kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
-    x = lift(part, adj_b, coset.point)
-    require(mat.mul_vec(x) == tuple(rhs), "particular solution fails mat @ x = rhs", (mat, rhs))
-    return AffineLatticeRep(x, kernel)
-
-
 def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
     """The solution x of ``(B | N) x = b`` whose N part is w, in the
     original column order, from ``adj_b = adj(B) b``: the B part is
@@ -148,16 +104,6 @@ def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
     return tuple(x)
 
 
-def project_drop_m(vectors: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, ...], ...]:
-    """Drop the first ``m`` coordinates of every vector."""
-    out = []
-    for i, v in enumerate(vectors):
-        if len(v) <= m:
-            raise DimensionMismatchError(f"vector {i} has length {len(v)}, need > {m}")
-        out.append(tuple(v[m:]))
-    return tuple(out)
-
-
 class SpecialBasis(NamedTuple):
     """Lower-triangular lattice basis: vectors[i][i] > 0, zeros above the
     diagonal, and 0 <= vectors[i][j] < vectors[j][j] for j < i. This basis is
@@ -168,28 +114,6 @@ class SpecialBasis(NamedTuple):
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(v[i] for i, v in enumerate(self.vectors))
-
-
-def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
-    """Compute the unique reduced lower-triangular basis of a lattice.
-
-    ``vectors`` are d linearly independent integer vectors of length d
-    spanning the lattice. The result spans the same lattice. That lattice
-    contains ``|det V| * Z^d``, so ``hnf_mod`` modulo ``|det V|`` finds it.
-
-    Raises:
-        DimensionMismatchError: if the vectors do not form a square system.
-        SingularError: if the vectors are linearly dependent.
-    """
-    vecs = [tuple(v) for v in vectors]
-    d = len(vecs)
-    for i, v in enumerate(vecs):
-        if len(v) != d:
-            raise DimensionMismatchError(f"vector {i} has length {len(v)}, expected {d}")
-    det = det_exact(IntMat(vecs))
-    if not det:
-        raise SingularError("basis vectors are linearly dependent")
-    return SpecialBasis(hnf_mod(vecs, d, abs(det)))
 
 
 class KernelCoset(NamedTuple):

@@ -6,16 +6,15 @@ which also finds a basis B of a wide matrix and gives ``adj(B)`` and
 ``adj(B) N`` in a single pass, and the one Hermite normal form,
 ``hnf_mod``, which keeps its entries reduced modulo a multiple of the
 lattice determinant.
-``fractions.Fraction`` appears only in the value ``solve_rational``
-returns. There is no floating point and no tolerance in this module;
-equality means equality.
+This module builds no ``fractions.Fraction`` (the rational solve
+``solve_rational`` lives in ``diobox.reference``), and there is no floating
+point and no tolerance in it; equality means equality.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -301,21 +300,3 @@ def kernel_echelon(
     gcd = d // lat_det
     require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, adj_n))
     return ech, gcd
-
-
-def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:
-    """Solve ``mat @ x = rhs`` exactly over the rationals.
-
-    Raises:
-        NotSquareError: if the matrix is not square.
-        DimensionMismatchError: if the right-hand side has the wrong length.
-        SingularError: if the matrix is singular.
-    """
-    if mat.rows != mat.cols:
-        raise NotSquareError(f"solve with a {mat.rows}x{mat.cols} matrix")
-    if len(rhs) != mat.rows:
-        raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    _, det, x = _scaled_solve(mat, ([e] for e in rhs))
-    if not det:
-        raise SingularError("matrix is singular")
-    return tuple(Fraction(v[0], det) for v in x)

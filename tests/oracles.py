@@ -24,8 +24,9 @@ from diobox.errors import (
     SingularError,
     require,
 )
-from diobox.lattice import AffineLatticeRep, BasisPartition, SpecialBasis
+from diobox.lattice import BasisPartition, SpecialBasis
 from diobox.linalg import IntMat, dot, hnf_mod, xgcd
+from diobox.reference import AffineLatticeRep
 
 
 def det_cofactor(rows):

@@ -220,7 +220,7 @@ def test_aliev_henk_t_bound_rank_deficient():
 
 
 def test_approx_sqrt_takes_the_root_first():
-    from diobox.cone import approx_sqrt
+    from diobox.commands import approx_sqrt
 
     rng = random.Random(5)
     for _ in range(200):

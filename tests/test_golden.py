@@ -57,24 +57,27 @@ def test_golden_output(name, code, args, monkeypatch):
     assert got_code == int(code)
 
 
-# (_eliminate calls, kernel_echelon calls, adj(B) v products) of one
-# command: the basis partition is the only elimination of B, and adj(B) b is
-# formed once; check and bounds add det(A A^T) for the diagnostic bound, and
-# gen deep forms adj(B) b for b and for the pushed b
+# (_eliminate calls, kernel_echelon calls, adj(B) v products, partitions)
+# of one command: the basis partition is the only elimination of B, and
+# adj(B) b is formed once; check and bounds add det(A A^T) for the
+# diagnostic bound, gen deep forms adj(B) b for b and for the pushed b, and
+# verify and frobenius build no partition at all
 CALLS = {
-    "solve": (1, 1, 1),
-    "check": (2, 1, 1),
-    "bounds": (2, 1, 1),
-    "gen feasible": (1, 0, 0),
-    "gen deep": (1, 1, 2),
-    "gen boundary": (1, 0, 0),
+    "solve": (1, 1, 1, 1),
+    "check": (2, 1, 1, 1),
+    "bounds": (2, 1, 1, 1),
+    "gen feasible": (1, 0, 0, 1),
+    "gen deep": (1, 1, 2, 1),
+    "gen boundary": (1, 0, 0, 1),
+    "verify": (0, 0, 0, 0),
+    "frobenius": (0, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("name,code,args", PARAMS)
 def test_one_partition_per_command(name, code, args, monkeypatch):
-    # every golden gen seed keeps its first draw of A, so each command,
-    # gen included, builds exactly one BasisPartition
+    # every golden gen seed keeps its first draw of A, so each command that
+    # reads a basis, gen included, builds exactly one BasisPartition
     monkeypatch.chdir(ROOT)
     funcs = (linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition)
     codes = [f.__code__ for f in funcs]
@@ -90,7 +93,7 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     finally:
         sys.setprofile(None)
     key = f"gen {args[args.index('--mode') + 1]}" if args[0] == "gen" else args[0]
-    assert counts == [*CALLS[key], 1]
+    assert counts == list(CALLS[key])
 
 
 STATUS_FOR_EXIT = {"0": "nonnegative", "1": "integer_only", "2": "infeasible"}

@@ -1,6 +1,7 @@
-"""The package's result records are immutable named tuples, and importing
-the command line pulls in neither ``dataclasses``, test-only code nor the
-instance generator."""
+"""The package's result records are immutable named tuples, importing the
+command line pulls in neither ``dataclasses``, test-only code, the
+instance generator nor the code of the other commands, and a
+``diobox solve`` process loads only the solve path."""
 
 import pathlib
 import subprocess
@@ -100,15 +101,51 @@ def test_cli_import_leaves_out_dataclasses_and_oracle():
     # imports count; -B: write no bytecode next to the sources. The batch
     # forks its workers, which is safe only in a process without threads,
     # and importing a pool would slow every start; only ``diobox gen``
-    # needs the generator
+    # needs the generator, and only the other commands need their own code,
+    # the Frobenius routines or the reference routines
     src = str(pathlib.Path(diobox.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import diobox.cli; "
         "print(sorted({'dataclasses', 'diobox.oracle', 'diobox.gen', 'multiprocessing',"
-        " 'concurrent', 'threading', 'subprocess'} & set(sys.modules)))"
+        " 'concurrent', 'threading', 'subprocess', 'diobox.reference',"
+        " 'diobox.commands', 'diobox.frobenius'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# the modules a single-file ``diobox solve`` of an instance with two or more
+# rows loads; a one-row instance adds ``frobenius`` for its Brauer bound
+SOLVE_PATH = {"cli", "io", "solver", "lattice", "linalg", "cone", "errors"}
+
+
+def _solve_imports(instance: str) -> set[str]:
+    # the diobox modules that ``python -X importtime`` lists for one solve
+    # process: -E -S -B is -I -S -B without -P, so that ``-m`` finds the
+    # package in the working directory; -B writes no bytecode, so every
+    # module is compiled from source, as in a fresh checkout
+    src = pathlib.Path(diobox.__file__).resolve().parent.parent
+    path = src.parent / "tests" / "golden" / instance
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-B", "-X", "importtime", "-m", "diobox", "solve",
+         "-i", str(path), "--no-timing"],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return {n for n in names if n == "diobox" or n.startswith("diobox.")}
+
+
+def test_solve_process_loads_only_the_solve_path():
+    loaded = _solve_imports("m3_feasible.json")
+    for name in ("reference", "commands", "frobenius", "gen", "batch"):
+        assert f"diobox.{name}" not in loaded
+    assert loaded == {"diobox"} | {f"diobox.{name}" for name in SOLVE_PATH}
+
+
+def test_one_row_solve_process_loads_frobenius():
+    loaded = _solve_imports("m1_feasible.json")
+    assert loaded == {"diobox", "diobox.frobenius"} | {f"diobox.{n}" for n in SOLVE_PATH}

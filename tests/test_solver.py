@@ -19,7 +19,7 @@ from diobox import (
     solve,
     verify,
 )
-from diobox import cli, lattice, linalg
+from diobox import cli, lattice, linalg, reference
 from diobox.gen import generate_instance
 
 import oracles
@@ -284,7 +284,7 @@ def _reference_free_part(inst):
     rep = oracles.integer_solution_set_hnf(inst.a.select_cols(part.order), inst.b)
     if rep is None:
         return None
-    basis = oracles.special_basis_hnf(lattice.project_drop_m(rep.kernel_basis, m))
+    basis = oracles.special_basis_hnf(reference.project_drop_m(rep.kernel_basis, m))
     return tuple(int(f) for f in lattice.box_reduce(basis.vectors, rep.particular[m:]).w)
 
 
