@@ -40,7 +40,6 @@ _HOME = {
     "aliev_henk_p": "commands",
     "aliev_henk_t_bound": "commands",
     "box_reduce": "lattice",
-    "box_shape": "frobenius",
     "brauer_G": "frobenius",
     "basis_partition": "solver",
     "deep_cone_condition": "reference",

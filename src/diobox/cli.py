@@ -163,7 +163,7 @@ def cmd_solve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="diobox", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="diobox", description="Command line interface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="classify an instance and emit a result file")

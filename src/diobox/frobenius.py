@@ -96,16 +96,3 @@ def frobenius_number_dp(entries: Sequence[int], cap: int = 10**6) -> int:
                 heapq.heappush(heap, (nd, nr))
     return max(dist) - q
 
-
-def box_shape(entries: Sequence[int]) -> tuple[int, ...]:
-    """Diagonal of the kernel lattice's triangular basis, in closed form.
-
-    For a one-row system the projected kernel lattice of (a_1, ..., a_n) has
-    triangular-basis diagonal (f_1/f_2, f_2/f_3, ..., f_{n-1}/f_n): each
-    ratio is the index step of the successive gcd sublattices.
-
-    Raises:
-        NonPositiveEntryError: if some entry is not a positive integer.
-    """
-    chain = f_chain(entries)
-    return tuple(chain[i] // chain[i + 1] for i in range(len(chain) - 1))

@@ -14,7 +14,7 @@ data (``IntMat`` and the result records), ``dot``, ``xgcd``, ``hnf_mod``,
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from diobox.errors import (
@@ -78,6 +78,13 @@ def frobenius_reachability(entries):
             last_gap = max((v for v in range(limit + 1) if not table[v]), default=-1)
             if last_gap <= limit - q:
                 return last_gap
+
+
+def box_shape(entries: Sequence[int]) -> tuple[int, ...]:
+    """Closed-form diagonal (f_1/f_2, ..., f_{n-1}/f_n) of the triangular basis
+    of a one-row system's projected kernel lattice, f_i = gcd(a_1, ..., a_i)."""
+    chain = list(accumulate(entries, math.gcd))
+    return tuple(chain[i] // chain[i + 1] for i in range(len(chain) - 1))
 
 
 def hnf_shape_ok(h, m):

@@ -31,7 +31,6 @@ from diobox import (
     SolveStatus,
     basis_partition,
     box_reduce,
-    box_shape,
     brauer_G,
     deep_cone_condition,
     det_exact,
@@ -50,6 +49,7 @@ from diobox.gen import generate_instance
 from brute_force import EnumerationBudget, brute_force_solve
 from oracles import (
     adj_products,
+    box_shape,
     hnf_column,
     hnf_shape_ok,
     in_cone,

@@ -10,7 +10,6 @@ from diobox import (
     NonPositiveEntryError,
     SolveStatus,
     ProblemInstance,
-    box_shape,
     brauer_G,
     f_chain,
     frobenius_number_dp,
@@ -19,7 +18,7 @@ from diobox import (
     solve,
     special_basis,
 )
-from oracles import frobenius_reachability
+from oracles import box_shape, frobenius_reachability
 
 
 def test_f_chain_examples():

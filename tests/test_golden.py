@@ -18,6 +18,7 @@ run from the repository root::
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -27,6 +28,7 @@ import pytest
 
 from diobox import lattice, linalg
 from diobox.cli import main
+from conftest import OPTIMIZED, SRC, diobox_process
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -96,10 +98,33 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     assert counts == list(CALLS[key])
 
 
+# one child per flag runs every row in process and prints its exit codes and
+# outputs; pytest under -O would strip its own asserts, so the parent compares
+ROWS_CHILD = """import contextlib, io, json, sys
+from diobox.cli import main
+def run(args):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return main(args), out.getvalue()
+json.dump([run(args) for _, _, args in json.load(sys.stdin)], sys.stdout)"""
+
+
+@pytest.mark.parametrize("flag", OPTIMIZED)
+def test_golden_output_optimized(flag):
+    proc = subprocess.run(
+        [sys.executable, flag, "-c", ROWS_CHILD], input=json.dumps(read_cases()), cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (name, code, _), got in zip(read_cases(), json.loads(proc.stdout), strict=True):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            assert got == [int(code), fh.read()], name
+
+
 STATUS_FOR_EXIT = {"0": "nonnegative", "1": "integer_only", "2": "infeasible"}
 
 
-def test_golden_batch(tmp_path):
+@pytest.mark.parametrize("flags", [(), *zip(OPTIMIZED)], ids=["plain", *OPTIMIZED])
+def test_golden_batch(tmp_path, flags):
     # a child process, so the batch runs its real forked workers: every
     # result file equals the golden output of ``solve -i`` on that instance
     statuses = {
@@ -109,13 +134,7 @@ def test_golden_batch(tmp_path):
     }
     for path in statuses:
         shutil.copy(os.path.join(ROOT, path), tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "diobox", "solve", "--batch", str(tmp_path), "--no-timing"],
-        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = diobox_process("solve", "--batch", str(tmp_path), "--no-timing", flags=flags)
     assert proc.returncode == 0, proc.stderr
     counts = ", ".join(
         f"{list(statuses.values()).count(s)} {s}" for s in STATUS_FOR_EXIT.values()

@@ -4,7 +4,6 @@ import os
 import pathlib
 import signal
 import stat
-import subprocess
 import sys
 import warnings
 
@@ -19,6 +18,7 @@ from diobox.io import (
     obj_to_instance,
     parse_int,
 )
+from conftest import OPTIMIZED, diobox_process
 
 
 def _write(path, text):
@@ -342,6 +342,15 @@ def test_cli_failure_removes_stale_output(tmp_path, capsys, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", OPTIMIZED)
+@pytest.mark.parametrize("command", ["check", "bounds"])
+def test_cli_failure_removes_stale_output_optimized(tmp_path, command, flag):
+    (_, bad), _ = _output_runs(tmp_path, command)
+    out = _write(tmp_path / "out.json", "stale")
+    proc = diobox_process(*bad, "-o", out, flags=(flag,))
+    assert (proc.returncode, os.path.exists(out)) == (3, False), proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs and symlinks")
 @pytest.mark.parametrize("command", list(_OUTPUT_RUNS))
 def test_cli_failure_keeps_special_output(tmp_path, capsys, command):
@@ -379,11 +388,7 @@ def test_cli_batch_bad_directory_is_input_error(tmp_path, capsys):
 
 def test_cli_as_module(tmp_path):
     path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diobox", "solve", "-i", path, "--no-timing"],
-        capture_output=True,
-        text=True,
-    )
+    proc = diobox_process("solve", "-i", path, "--no-timing")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "nonnegative"
 
@@ -470,15 +475,17 @@ def test_cli_diagnostics_beyond_float(tmp_path, digits, finite):
 
 
 def test_no_assert_in_package():
-    # ``python -O`` strips asserts, so every guarantee is an explicit check
+    # ``python -O`` strips asserts and ``__debug__`` branches, and -OO sets
+    # every ``__doc__`` to None, so every guarantee is an explicit check
     import ast
 
     import diobox
 
     for path in pathlib.Path(diobox.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert not found, f"{path.name} has assert at lines {found}"
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)
+                 or {getattr(n, "id", None), getattr(n, "attr", None)} & {"__debug__", "__doc__"}]
+        assert not found, f"{path.name} has assert, __debug__ or __doc__ at lines {found}"
 
 
 def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):

@@ -46,7 +46,6 @@ ALL = [
     "aliev_henk_p",
     "aliev_henk_t_bound",
     "box_reduce",
-    "box_shape",
     "brauer_G",
     "basis_partition",
     "deep_cone_condition",
@@ -81,7 +80,7 @@ REFERENCE = {
 
 def test_all_keeps_its_names_in_order():
     assert diobox.__all__ == ALL
-    assert len(set(ALL)) == 44
+    assert len(set(ALL)) == 43
 
 
 @pytest.mark.parametrize("name", ALL)

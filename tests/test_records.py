@@ -21,6 +21,7 @@ from diobox import (
 from diobox.lattice import kernel_coset
 from diobox.linalg import _adj_mul
 from diobox.solver import solve_with_conditions
+from conftest import OPTIMIZED, diobox_process
 
 
 def _records():
@@ -122,25 +123,25 @@ def test_cli_import_leaves_out_dataclasses_and_oracle():
 SOLVE_PATH = {"cli", "io", "solver", "lattice", "linalg", "cone", "errors"}
 
 
-def _solve_imports(instance: str) -> set[str]:
+def _solve_imports(instance: str, flags=()) -> set[str]:
     # the diobox modules that ``python -X importtime`` lists for one solve
     # process: -E -S -B is -I -S -B without -P, so that ``-m`` finds the
     # package in the working directory; -B writes no bytecode, so every
-    # module is compiled from source, as in a fresh checkout
+    # module is compiled from source, as in a fresh checkout. A crash exits
+    # 1 as an integer-only solve does, so the output must be the golden one
     src = pathlib.Path(diobox.__file__).resolve().parent.parent
     path = src.parent / "tests" / "golden" / instance
-    proc = subprocess.run(
-        [sys.executable, "-E", "-S", "-B", "-X", "importtime", "-m", "diobox", "solve",
-         "-i", str(path), "--no-timing"],
-        cwd=src, capture_output=True, text=True, timeout=60,
-    )
+    proc = diobox_process("solve", "-i", str(path), "--no-timing", cwd=src,
+                          flags=(*flags, "-E", "-S", "-B", "-X", "importtime"))
     assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stdout == path.with_suffix(".solve.out").read_text(encoding="utf-8")
     names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     return {n for n in names if n == "diobox" or n.startswith("diobox.")}
 
 
-def test_solve_process_loads_only_the_solve_path():
-    loaded = _solve_imports("m3_feasible.json")
+@pytest.mark.parametrize("flags", [(), *zip(OPTIMIZED)], ids=["plain", *OPTIMIZED])
+def test_solve_process_loads_only_the_solve_path(flags):
+    loaded = _solve_imports("m3_feasible.json", flags)
     for name in ("reference", "commands", "frobenius", "gen", "batch"):
         assert f"diobox.{name}" not in loaded
     assert loaded == {"diobox"} | {f"diobox.{name}" for name in SOLVE_PATH}
