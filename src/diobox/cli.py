@@ -204,21 +204,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "batch", None) and args.output:  # each result goes next to its input
-            parser.error("-o/--output cannot be used with --batch")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "batch", None) and args.output:  # each result goes next to its input
+                parser.error("-o/--output cannot be used with --batch")
+        except SystemExit as exc:
+            return int(exc.code or 0)
         if args.command == "solve":
             return cmd_solve(args)
         from . import commands  # only the other commands load their code
 
         return getattr(commands, f"cmd_{args.command}")(args)
     except Exception as exc:  # every failure leaves with an exit code and one line
-        _discard_output(args.output, *(getattr(args, a, None) for a in ("instance", "solution")))
+        # args is None when building the parser failed: no output to discard
+        paths = (getattr(args, a, None) for a in ("output", "instance", "solution"))
+        _discard_output(*paths)
         code, line = _failure(exc)
         print(line, file=sys.stderr)
         return code

@@ -119,6 +119,8 @@ def _read_json(path: str) -> Any:
         ) from exc
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"{path}: not UTF-8: {exc.reason}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise InstanceFormatError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def load_instance(path: str) -> ProblemInstance:

@@ -9,12 +9,17 @@ lattice determinant.
 This module builds no ``fractions.Fraction`` (the rational solve
 ``solve_rational`` lives in ``diobox.reference``), and there is no floating
 point and no tolerance in it; equality means equality.
+Matrix entries are checked once, when an ``IntMat`` is built from outside
+data; ``identity`` and the matrices derived from one (``select_cols``,
+``transpose``, products) hold entries already known to be ints and are not
+checked again.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -59,6 +64,10 @@ class IntMat:
     tuples, so instances are safe to share and to use as dict keys. ``rows``
     and ``cols`` are the dimensions; indexing yields row tuples. A matrix
     needs a row but may have no columns: that is the block N of a square A.
+    Building one from outside data checks every entry once, in one pass
+    when all are exact ``int``; ``bool`` is rejected, other ``int``
+    subclasses are accepted. Matrices derived from an ``IntMat`` are not
+    checked again.
     """
 
     __slots__ = ("_data", "rows", "cols")
@@ -68,21 +77,33 @@ class IntMat:
         if not data:
             raise DimensionMismatchError("matrix needs at least one row")
         width = len(data[0])
-        for i, row in enumerate(data):
-            if len(row) != width:
-                raise DimensionMismatchError(
-                    f"row {i} has length {len(row)}, expected {width}"
-                )
-            for j, e in enumerate(row):
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"entry ({i},{j}) is {type(e).__name__}, expected int")
-        self._data = data
-        self.rows = len(data)
-        self.cols = width
+        # one C-level pass accepts equal-length rows of exact ints; anything
+        # else takes the entry loop, which names the first bad row or entry
+        # and lets the other int subclasses through
+        if len(set(map(len, data))) > 1 or not set(map(type, chain.from_iterable(data))) <= {int}:
+            for i, row in enumerate(data):
+                if len(row) != width:
+                    raise DimensionMismatchError(
+                        f"row {i} has length {len(row)}, expected {width}"
+                    )
+                for j, e in enumerate(row):
+                    if not isinstance(e, int) or isinstance(e, bool):
+                        raise TypeError(f"entry ({i},{j}) is {type(e).__name__}, expected int")
+        self._data, self.rows, self.cols = data, len(data), width
+
+    @classmethod
+    def _of(cls, data: tuple[tuple[int, ...], ...]) -> "IntMat":
+        # a matrix derived from checked ones: data is a tuple of equal-length
+        # int tuples, so no entry is checked again; it still needs a row
+        if not data:
+            raise DimensionMismatchError("matrix needs at least one row")
+        mat = object.__new__(cls)
+        mat._data, mat.rows, mat.cols = data, len(data), len(data[0])
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._data[i]
@@ -103,10 +124,11 @@ class IntMat:
         return tuple(row[j] for row in self._data)
 
     def transpose(self) -> "IntMat":
-        return IntMat(zip(*self._data))
+        return IntMat._of(tuple(zip(*self._data)))
 
     def select_cols(self, idx: Sequence[int]) -> "IntMat":
-        return IntMat([[row[j] for j in idx] for row in self._data])
+        idx = tuple(idx)  # every row indexes by it, so an iterator is read once
+        return IntMat._of(tuple(tuple([row[j] for j in idx]) for row in self._data))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -114,9 +136,7 @@ class IntMat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         ot = other.transpose()
-        return IntMat(
-            [[dot(r, c) for c in ot] for r in self._data]
-        )
+        return IntMat._of(tuple(tuple([dot(r, c) for c in ot]) for r in self._data))
 
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -168,7 +188,10 @@ def det_exact(mat: IntMat) -> int:
     """
     if mat.rows != mat.cols:
         raise NotSquareError(f"determinant of a {mat.rows}x{mat.cols} matrix")
-    return _scaled_solve(mat, [()] * mat.rows)[1]
+    # forward elimination alone: the last pivot is det up to the row swaps' sign
+    a = [list(row) for row in mat]
+    pivots, sign = _eliminate(a, mat.cols)
+    return sign * a[-1][-1] if len(pivots) == mat.rows else 0
 
 
 def _scaled_solve(mat: IntMat, r_rows: Iterable) -> tuple[tuple[int, ...], int, list[list[int]]]:

@@ -533,6 +533,52 @@ def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
 
 
+def test_cli_parser_build_failure_exits_4(capsys, monkeypatch):
+    # building the parser falls under the same failure rule as a command: one
+    # line and exit 4, not a traceback and the interpreter's exit 1
+    import diobox.cli as cli_mod
+
+    def broken():
+        raise RuntimeError("no parser")
+
+    monkeypatch.setattr(cli_mod, "build_parser", broken)
+    assert main(["solve", "-i", "i.json"]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: no parser\n"
+
+
+DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
+
+
+def test_cli_deeply_nested_instance_exits_3(tmp_path, capsys):
+    # malformed JSON is bad input, however it is malformed
+    deep = _write(tmp_path / "deep.json", DEEP)
+    out = _write(tmp_path / "o.json", "stale")
+    assert main(["solve", "-i", deep, "-o", out]) == 3
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to parse\n"
+    assert not os.path.exists(out)
+
+
+def test_cli_deeply_nested_batch_file_exits_3(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    deep = _write(d / "deep.json", DEEP)
+    _write(d / "deep.result.json", "stale")
+    _write(d / "ok.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["solve", "--batch", str(d), "--no-timing"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {deep}: JSON nested too deeply to parse",
+        "2 file(s), 1 failure(s): 1 nonnegative, 0 integer_only, 0 infeasible",
+    ]
+    assert (d / "ok.result.json").exists() and not (d / "deep.result.json").exists()
+
+
+def test_cli_deeply_nested_result_exits_3(tmp_path, capsys):
+    inst = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    deep = _write(tmp_path / "s.json", DEEP)
+    assert main(["verify", "-i", inst, "-s", deep]) == 3
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to parse\n"
+
+
 def _mixed_batch(d):
     """Write a batch with every kind of outcome, sorted so that every
     worker count from 1 to 3 gets a mix; return its summary line."""

@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,50 @@ def test_intmat_rejects_bad_input():
         IntMat([[True, 1]])
     with pytest.raises(DimensionMismatchError):
         IntMat([[1, 2]]).mul_vec((1, 2, 3))
+
+
+def test_intmat_entry_check():
+    # exact ints pass in one pass; anything else takes the entry loop, which
+    # keeps the messages, lets int subclasses other than bool through and
+    # checks row lengths and entries in row order
+    class Small(IntEnum):
+        ONE = 1
+
+    mixed = IntMat([[Small.ONE, 2], [3, Small.ONE]])
+    assert mixed == IntMat([[1, 2], [3, 1]]) and hash(mixed) == hash(IntMat([[1, 2], [3, 1]]))
+    for bad, name in [(True, "bool"), (1.0, "float"), ("1", "str"), (Fraction(1), "Fraction")]:
+        with pytest.raises(TypeError) as exc:
+            IntMat([[1, 2], [3, bad]])
+        assert str(exc.value) == f"entry (1,1) is {name}, expected int"
+    with pytest.raises(TypeError, match=r"^entry \(0,0\) is bool, expected int$"):
+        IntMat([[False], [1, 2]])
+    with pytest.raises(DimensionMismatchError, match="^row 1 has length 2, expected 1$"):
+        IntMat([[1], [1, 2], [True]])
+
+
+def test_derived_matrices_equal_checked_ones():
+    # identity, select_cols, transpose and @ skip the entry check; what they
+    # build equals the matrix the public constructor builds from the same rows
+    rng = random.Random(5)
+    for _ in range(100):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(m)]
+        a = IntMat(rows)
+        idx = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+        pairs = [
+            (IntMat.identity(m), IntMat([[int(i == j) for j in range(m)] for i in range(m)])),
+            (a.select_cols(idx), IntMat([[row[j] for j in idx] for row in rows])),
+            (a.transpose(), IntMat([list(col) for col in zip(*rows)])),
+            (a @ a.transpose(), IntMat([[sum(map(operator.mul, r, s)) for s in rows] for r in rows])),
+        ]
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert all(type(e) is int for row in got for e in row)
+    with pytest.raises(DimensionMismatchError, match="^matrix needs at least one row$"):
+        IntMat([[], []]).transpose()
+    with pytest.raises(DimensionMismatchError, match="^matrix needs at least one row$"):
+        IntMat.identity(0)
 
 
 def test_intmat_without_columns():
@@ -163,6 +209,30 @@ def test_det_against_cofactor_oracle():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
         assert det_exact(IntMat(rows)) == det_cofactor(rows)
+
+
+def test_det_singular_and_row_swaps_against_cofactor_oracle():
+    # det_exact is the forward elimination alone: a short rank gives 0, and
+    # each row swap for a zero pivot flips the sign of the last pivot
+    assert det_exact(IntMat([[0]])) == 0
+    assert det_exact(IntMat([[-7]])) == -7
+    assert det_exact(IntMat([[0, 1], [1, 0]])) == -1
+    assert det_exact(IntMat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert det_exact(IntMat([[0, 2, 1], [0, 1, 1], [3, 1, 1]])) == 3
+    rng = random.Random(6)
+    singular = swapped = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:  # a row that is a multiple of another
+            rows[rng.randrange(1, n)] = [-3 * e for e in rows[0]]
+        if rng.random() < 0.5:  # a zero leading column entry: row 0 cannot be the first pivot
+            rows[0][0] = 0
+        want = det_cofactor(rows)
+        singular += want == 0
+        swapped += rows[0][0] == 0 and want != 0
+        assert det_exact(IntMat(rows)) == want
+    assert singular > 100 and swapped > 100
 
 
 def test_det_multiplicative():
