@@ -162,14 +162,41 @@ class BoxReduction(NamedTuple):
     w: tuple
 
 
+def _gram_schmidt(vecs: Sequence[Sequence[int]]) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    # each Gram-Schmidt vector as a dense Fraction tuple with its squared
+    # norm, all over the rationals: no integer fast path here, that is the
+    # integer triangular sweep's job. Each projection runs over the support
+    # (the nonzero coordinates) of the earlier vector, kept beside it: on a
+    # triangular basis every Gram-Schmidt vector has one nonzero entry
+    ortho: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    supports: list[list[int]] = []
+    for i, v in enumerate(vecs):
+        b = tuple(map(Fraction, v))
+        cur = list(b)
+        for (g, norm), supp in zip(ortho, supports):
+            mu = sum([b[t] * g[t] for t in supp]) / norm
+            if mu:
+                for t in supp:
+                    cur[t] -= mu * g[t]
+        # entries can cancel, so the support is read after the updates
+        supp = [t for t, c in enumerate(cur) if c]
+        if not supp:
+            raise SingularError(f"vector {i} is dependent on the previous ones")
+        ortho.append((tuple(cur), sum([cur[t] * cur[t] for t in supp])))
+        supports.append(supp)
+    return ortho
+
+
 def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReduction:
     """Reduce ``point`` modulo the lattice into the Gram-Schmidt box.
 
     One exact Gram-Schmidt pass over the rationals builds each orthogonal
-    vector and its squared norm once, skipping every projection whose
+    vector and its squared norm once. Each projection runs over the nonzero
+    entries of the earlier orthogonal vector only, and is skipped when its
     coefficient is zero. Then, sweeping i from last to first, subtract
     ``floor(lambda_i)`` copies of basis vector i, where lambda_i is the
-    coefficient of ``point`` against the i-th Gram-Schmidt vector.
+    coefficient of ``point`` against the i-th Gram-Schmidt vector; the sweep
+    reads the same dense orthogonal vectors as the plain pass would give.
     Afterwards every coefficient lies in [0, 1), so w sits in the half-open
     box spanned by the orthogonalized basis. The result depends only on the
     coset ``point + L``, never on the representative.
@@ -192,18 +219,7 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReductio
             raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
     if len(point) != d:
         raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
-    # (Gram-Schmidt vector, its squared norm), all over the rationals: no
-    # integer fast path here, that is the integer triangular sweep's job
-    ortho: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for i, v in enumerate(vecs):
-        cur = b = tuple(map(Fraction, v))
-        for g, norm in ortho:
-            mu = dot(b, g) / norm
-            if mu:
-                cur = tuple(c - mu * e for c, e in zip(cur, g))
-        if not any(cur):
-            raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append((cur, dot(cur, cur)))
+    ortho = _gram_schmidt(vecs)
     cur = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point)
     for v, (g, norm) in zip(reversed(vecs), reversed(ortho)):
         k = math.floor(dot(cur, g) / norm)

@@ -135,8 +135,10 @@ class IntMat:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ot = other.transpose()
-        return IntMat._of(tuple(tuple([dot(r, c) for c in ot]) for r in self._data))
+        # the columns as plain tuples: a right factor with no columns has no
+        # transpose as an IntMat, yet its product is the m x 0 matrix
+        cols = tuple(zip(*other._data))
+        return IntMat._of(tuple(tuple([dot(r, c) for c in cols]) for r in self._data))
 
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:

@@ -17,7 +17,8 @@ from diobox import (
     special_basis,
     solve_rational,
 )
-from diobox.linalg import dot
+from diobox.lattice import _gram_schmidt, kernel_coset, partition
+from diobox.linalg import _adj_mul, dot
 
 from oracles import (
     gram_schmidt,
@@ -221,6 +222,70 @@ def test_gram_schmidt_reconstruction():
         done += 1
 
 
+def _assert_gram_schmidt_exact(vecs):
+    # the support-only pass gives the oracle's dense vectors and squared
+    # norms, equal in value and all of type Fraction
+    got = _gram_schmidt(vecs)
+    want = gram_schmidt(vecs).ortho
+    assert [g for g, _ in got] == list(want)
+    assert [norm for _, norm in got] == [dot(g, g) for g in want]
+    for g, norm in got:
+        assert type(g) is tuple and len(g) == len(vecs)
+        assert type(norm) is Fraction and all(type(e) is Fraction for e in g)
+
+
+def test_gram_schmidt_pass_on_sparse_bases():
+    # bases with mostly zero entries, up to dimension 12, in every row order
+    rng = random.Random(21)
+    done = 0
+    while done < 60:
+        d = rng.randint(1, 12)
+        vecs = [
+            tuple(0 if rng.random() < 0.7 else rng.choice((rng.randint(-3, 3), rng.randint(-1000, 1000))) for _ in range(d))
+            for _ in range(d)
+        ]
+        if det_exact(IntMat(vecs)) == 0:
+            continue
+        _assert_gram_schmidt_exact(vecs)
+        done += 1
+
+
+def test_gram_schmidt_pass_on_kernel_coset_bases():
+    # the triangular bases the solver reduces against: hnf-like systems with
+    # m = 10..12, n = 2m and entries up to 1000
+    rng = random.Random(22)
+    for m in (10, 11, 12, 10):
+        while True:
+            a = IntMat([[rng.randint(-1000, 1000) for _ in range(2 * m)] for _ in range(m)])
+            if det_exact(a.select_cols(range(m))):
+                break
+        part = partition(a)
+        b = a.mul_vec([rng.randint(0, 5) for _ in range(2 * m)])
+        coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
+        _assert_gram_schmidt_exact(coset.basis.vectors)
+        w = box_reduce(coset.basis.vectors, coset.point).w
+        assert w == gram_schmidt_box_reduce(coset.basis.vectors, coset.point)
+        assert all(type(e) is int for e in w)
+
+
+def test_gram_schmidt_pass_entries_cancel():
+    # the support of a new vector is read after its updates: here the
+    # second orthogonal vector loses both entries it started with
+    vecs = [(1, 1, 0), (1, 1, 1), (0, 1, 1)]
+    got = _gram_schmidt(vecs)
+    assert got[1] == ((0, 0, 1), 1)
+    assert got[2] == ((Fraction(-1, 2), Fraction(1, 2), 0), Fraction(1, 2))
+    _assert_gram_schmidt_exact(vecs)
+
+
+def test_gram_schmidt_pass_dependent():
+    for vecs, i in (([(1, 2), (2, 4)], 1), ([(1, 0, 0), (0, 1, 0), (3, -2, 0)], 2), ([(0, 0), (1, 0)], 0)):
+        with pytest.raises(SingularError, match=f"^vector {i} is dependent on the previous ones$"):
+            _gram_schmidt(vecs)
+        with pytest.raises(SingularError, match=f"^vector {i} is dependent on the previous ones$"):
+            box_reduce(vecs, (0,) * len(vecs))
+
+
 def test_box_reduce_examples():
     basis = [(5, 0), (1, 1)]
     for x, w in (((7, 0), (2, 0)), ((2, 0), (2, 0)), ((-1, -1), (0, 0))):  # (2, 0) is in the box
@@ -300,7 +365,8 @@ def test_box_reduce_idempotent():
 def test_box_reduce_matches_gram_schmidt_route():
     # the one-pass route against the gram_schmidt route it replaced, on
     # general bases whose zero entries make many projection coefficients
-    # vanish
+    # vanish: every size up to 6 often, and sizes 7 to 12 (hnf_growth's
+    # kernel bases have 10 to 12 vectors) less often, as each costs more
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     zero = st.just(0)  # about half the entries, so that many coefficients vanish
@@ -308,20 +374,24 @@ def test_box_reduce_matches_gram_schmidt_route():
     ints = st.integers(-10**6, 10**6)
     coords = st.sampled_from((ints, st.one_of(ints, st.fractions(-10**6, 10**6, max_denominator=50))))
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(st.data())
-    def check(data):
-        d = data.draw(st.integers(1, 6))
-        vecs = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
-        hypothesis.assume(det_exact(IntMat(vecs)) != 0)
-        x = data.draw(st.lists(data.draw(coords), min_size=d, max_size=d))
-        w = box_reduce(vecs, x).w
-        assert w == gram_schmidt_box_reduce(vecs, x)
-        assert _in_lattice(vecs, [a - b for a, b in zip(x, w)])
-        if all(isinstance(e, int) for e in x):
-            assert all(isinstance(e, int) for e in w)
+    def route(sizes, examples):
+        @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            d = data.draw(sizes)
+            vecs = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+            hypothesis.assume(det_exact(IntMat(vecs)) != 0)
+            x = data.draw(st.lists(data.draw(coords), min_size=d, max_size=d))
+            w = box_reduce(vecs, x).w
+            assert w == gram_schmidt_box_reduce(vecs, x)
+            assert _in_lattice(vecs, [a - b for a, b in zip(x, w)])
+            # an int entry stays int, every other entry becomes a Fraction
+            assert [type(e) for e in w] == [int if type(c) is int else Fraction for c in x]
 
-    check()
+        return check
+
+    route(st.integers(1, 6), 300)()
+    route(st.integers(7, 12), 60)()
 
 
 def test_box_product_bound_on_special_bases():

@@ -114,6 +114,15 @@ def test_intmat_without_columns():
     assert (empty.rows, empty.cols) == (2, 0)
     assert IntMat([[1, 2], [3, 4]]).select_cols([]) == empty
     assert empty.mul_vec(()) == (0, 0)
+    # a column-free right factor gives the m x 0 product, through no transpose
+    prod = IntMat([[1, 2], [3, 4]]) @ empty
+    assert prod == empty and (prod.rows, prod.cols) == (2, 0)
+    assert IntMat([[5, 6]]) @ empty == IntMat([[]])
+    with pytest.raises(DimensionMismatchError, match=r"^cannot multiply 1x3 by 2x0$"):
+        IntMat([[1, 2, 3]]) @ empty
+    # with no rows the transpose is not representable, so it keeps raising
+    with pytest.raises(DimensionMismatchError, match="^matrix needs at least one row$"):
+        empty.transpose()
     assert [list(r) for r in empty] == [[], []] and list(empty) == [(), ()]
     with pytest.raises(DimensionMismatchError):
         IntMat([[], [1]])
