@@ -36,7 +36,6 @@ _HOME = {
     "SolveStatus": "solver",
     "SpecialBasis": "lattice",
     "WrongRowCountError": "errors",
-    "adjugate": "linalg",
     "aliev_henk_p": "commands",
     "aliev_henk_t_bound": "commands",
     "box_reduce": "lattice",

@@ -105,10 +105,7 @@ def _result_obj(inst, outcome, cond, elapsed) -> dict:
 def _unlimited_digits():
     # a result can be longer than the interpreter's int/str digit limit, so
     # the limit is lifted while a result is formatted; input parsing keeps it
-    # (exit 3). Interpreters before 3.10.7 have no limit.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    # (exit 3)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -66,7 +66,7 @@ def _deep_thresholds(det: int, adj, n_mat: IntMat, gcd_a: int) -> tuple[int, lis
 def deep_cone_report(
     det: int, adj: Sequence[Sequence[int]], n_mat: IntMat, gcd_a: int, adj_b: Sequence[int]
 ) -> ConditionReport:
-    """``deep_cone_condition`` from ``(det, adj) = adjugate(B)``, ``adj_b = adj b``.
+    """``deep_cone_condition`` from ``det B``, ``adj = adj(B)`` and ``adj_b = adj b``.
 
     With B^-1 = adj / det, g = gcd_a and D = |det|, facet i holds iff
     ``p_i >= 0`` and ``g^2 p_i^2 >= l_N^2 (D - g)^2 ||adj_i||^2`` for

@@ -32,8 +32,9 @@ from .linalg import IntMat, _scaled_solve, dot, kernel_echelon
 
 class BasisPartition(NamedTuple):
     """Basis column indices, the induced column order (basis first), the
-    corresponding blocks of A, ``(det, adj) = adjugate(b_mat)`` and
-    ``adj_n = adj @ n_mat``, an m x k block with empty rows when k = 0."""
+    corresponding blocks of A, ``det = det(b_mat)``, its adjugate ``adj``
+    (``b_mat @ adj == det * I``) and ``adj_n = adj @ n_mat``, an m x k block
+    with empty rows when k = 0."""
 
     basis_cols: tuple[int, ...]
     order: tuple[int, ...]
@@ -69,7 +70,7 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
             )
         mat = a.select_cols(cols + tuple(j for j in range(n) if j not in cols))
     # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
-    pivots, det, x = _scaled_solve(mat, IntMat.identity(m))
+    pivots, det, x = _scaled_solve(mat)
     if cols is None:
         if not det:
             raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {m}")

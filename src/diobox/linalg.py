@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
 Everything here runs on Python's arbitrary-precision ``int``: one
-fraction-free elimination behind determinants, adjugates and linear solves,
-which also finds a basis B of a wide matrix and gives ``adj(B)`` and
+fraction-free elimination behind determinants and the basis partition,
+which finds a basis B of a wide matrix and gives ``adj(B)`` and
 ``adj(B) N`` in a single pass, and the one Hermite normal form,
 ``hnf_mod``, which keeps its entries reduced modulo a multiple of the
 lattice determinant.
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionMismatchError,
     NotSquareError,
-    SingularError,
     require,
 )
 
@@ -196,14 +195,14 @@ def det_exact(mat: IntMat) -> int:
     return sign * a[-1][-1] if len(pivots) == mat.rows else 0
 
 
-def _scaled_solve(mat: IntMat, r_rows: Iterable) -> tuple[tuple[int, ...], int, list[list[int]]]:
-    # eliminate [mat | R], then back substitute over the pivot columns: with B
-    # those columns and F the other columns of [mat | R], in order, return
+def _scaled_solve(mat: IntMat) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    # eliminate [mat | I], then back substitute over the pivot columns: with B
+    # those columns and F the other columns of [mat | I], in order, return
     # them, det B and X = det B * B^-1 F, which is integral by Cramer's rule,
     # so each division is exact; det is 0 when mat has fewer than mat.rows
     # independent columns
     n, width = mat.rows, mat.cols
-    a = [[*row, *r] for row, r in zip(mat, r_rows)]
+    a = [[*row, *unit] for row, unit in zip(mat, IntMat.identity(n))]
     pivots, sign = _eliminate(a, width)
     if len(pivots) < n:
         return tuple(pivots), 0, []
@@ -219,21 +218,6 @@ def _scaled_solve(mat: IntMat, r_rows: Iterable) -> tuple[tuple[int, ...], int, 
                 acc = [s - e * t for s, t in zip(acc, x[j])]
         x[i] = [s // row[pivots[i]] for s in acc]
     return tuple(pivots), det, x
-
-
-def adjugate(mat: IntMat) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(det, adj)`` of a nonsingular square matrix, ``mat @ adj == det * I``.
-
-    Raises:
-        NotSquareError: if the matrix is not square.
-        SingularError: if the matrix is singular.
-    """
-    if mat.rows != mat.cols:
-        raise NotSquareError(f"adjugate of a {mat.rows}x{mat.cols} matrix")
-    _, det, x = _scaled_solve(mat, IntMat.identity(mat.rows))
-    if not det:
-        raise SingularError("matrix is singular")
-    return det, tuple(map(tuple, x))
 
 
 def hnf_mod(

@@ -25,7 +25,7 @@ from .errors import (
     require,
 )
 from .lattice import SpecialBasis, kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, _scaled_solve, adjugate, det_exact, hnf_mod, kernel_echelon
+from .linalg import IntMat, _adj_mul, det_exact, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(NamedTuple):
@@ -117,10 +117,9 @@ def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:
         raise NotSquareError(f"solve with a {mat.rows}x{mat.cols} matrix")
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
-    _, det, x = _scaled_solve(mat, ([e] for e in rhs))
-    if not det:
-        raise SingularError("matrix is singular")
-    return tuple(Fraction(v[0], det) for v in x)
+    # x = adj(B) rhs / det B, B the whole matrix
+    part = partition(mat, range(mat.rows))
+    return tuple(Fraction(v, part.det) for v in _adj_mul(part.adj, rhs))
 
 
 def deep_cone_condition(
@@ -138,14 +137,18 @@ def deep_cone_condition(
     is guaranteed nonnegative.
 
     Raises:
-        SingularError: if ``b_mat`` is singular.
         ValueError: if ``gcd_a`` is not positive.
+        NotSquareError: if ``b_mat`` is not square.
+        SingularError: if ``b_mat`` is singular.
+        DimensionMismatchError: if ``n_mat`` does not have the rows of ``b_mat``.
     """
     if gcd_a < 1:
         raise ValueError(f"gcd must be a positive integer, got {gcd_a}")
-    det, adj = adjugate(b_mat)
+    if b_mat.rows != b_mat.cols:
+        raise NotSquareError(f"basis block is {b_mat.rows}x{b_mat.cols}")
+    part = partition(b_mat, range(b_mat.rows))
     if b_mat.rows != n_mat.rows:
         raise DimensionMismatchError(
             f"basis block has {b_mat.rows} rows, remaining block {n_mat.rows}"
         )
-    return deep_cone_report(det, adj, n_mat, gcd_a, _adj_mul(adj, rhs))
+    return deep_cone_report(part.det, part.adj, n_mat, gcd_a, _adj_mul(part.adj, rhs))

@@ -34,12 +34,25 @@ class _InstanceFields(NamedTuple):
 class ProblemInstance(_InstanceFields):
     """System ``a @ x = b`` with optional explicit basis column choice.
 
-    ``basis_cols`` is 0-based here; instance files store it 1-based.
+    ``basis_cols`` is 0-based here; instance files store it 1-based. ``b``
+    and ``basis_cols`` are stored as tuples. Like an ``IntMat`` entry, an
+    entry of ``b`` must be an ``int`` and not a ``bool``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: IntMat, b: tuple[int, ...], basis_cols: tuple[int, ...] | None = None):
+    def __new__(cls, a: IntMat, b: Sequence[int], basis_cols: Sequence[int] | None = None):
+        if not isinstance(a, IntMat):
+            raise TypeError(f"a is {type(a).__name__}, expected IntMat")
+        b = tuple(b)
+        # as in IntMat: one C-level pass accepts exact ints, and the entry loop
+        # names the first bad entry and lets the other int subclasses through
+        if not set(map(type, b)) <= {int}:
+            for i, e in enumerate(b):
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise TypeError(f"b entry {i} is {type(e).__name__}, expected int")
+        if basis_cols is not None:
+            basis_cols = tuple(basis_cols)
         if len(b) != a.rows:
             raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
         if a.rows >= a.cols:

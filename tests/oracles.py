@@ -361,7 +361,7 @@ def kernel_echelon_product(
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The kernel lattice of ``(B | N)`` modulo ``D = |det B|``, and the gcd.
 
-    ``(det, adj) = adjugate(B)``, and N has k columns, possibly none.
+    ``det = det B`` and ``adj = adj(B)``, and N has k columns, possibly none.
     Since ``B^-1 = adj / det``, an integer z extends to an integer kernel
     vector exactly when ``adj N z = 0 (mod D)``. Returns the ``hnf_mod``
     basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj N z (mod D)}``, z

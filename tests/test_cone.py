@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from diobox import (
+    DimensionMismatchError,
     IntMat,
+    NotSquareError,
     SingularError,
     WrongRowCountError,
     aliev_henk_p,
@@ -111,6 +113,17 @@ def test_deep_cone_errors():
         deep_cone_condition(IntMat([[1, 2], [2, 4]]), IntMat([[1], [1]]), 1, (1, 1))
     with pytest.raises(ValueError):
         deep_cone_condition(IntMat.identity(2), IntMat([[1], [1]]), 0, (1, 1))
+    with pytest.raises(NotSquareError):
+        deep_cone_condition(IntMat([[1, 0, 2], [0, 1, 3]]), IntMat([[1], [1]]), 1, (1, 1))
+    with pytest.raises(DimensionMismatchError):
+        deep_cone_condition(IntMat.identity(2), IntMat([[1], [1], [1]]), 1, (1, 1))
+    # the checks run in this order: gcd, shape of B, singular B, rows of N
+    with pytest.raises(ValueError):
+        deep_cone_condition(IntMat([[1, 2]]), IntMat([[1], [1]]), 0, (1,))
+    with pytest.raises(NotSquareError):
+        deep_cone_condition(IntMat([[1, 2]]), IntMat([[1], [1]]), 1, (1,))
+    with pytest.raises(SingularError):
+        deep_cone_condition(IntMat([[1, 2], [2, 4]]), IntMat([[1]]), 1, (1, 1))
 
 
 def _inputs(b_mat, n_mat, point):

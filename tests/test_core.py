@@ -17,7 +17,6 @@ from diobox import (
     RankDeficientError,
     SingularError,
     SolveStatus,
-    adjugate,
     basis_partition,
     box_reduce,
     deep_cone_condition,
@@ -83,16 +82,19 @@ def _vector(n):
 @SETTINGS
 @given(matrices(square=True))
 def test_adjugate_identity(rows):
+    # det B and adj(B) of a square B from the partition with B's own columns,
+    # against cofactor expansion and det times the Fraction inverse
     mat = IntMat(rows)
     n = mat.rows
     det = det_cofactor(rows)
     assert det_exact(mat) == det
     if det == 0:
         with pytest.raises(SingularError):
-            adjugate(mat)
+            partition(mat, range(n))
         return
-    got_det, adj = adjugate(mat)
-    assert got_det == det
+    part = partition(mat, range(n))
+    adj = part.adj
+    assert part.det == det and part.adj_n == ((),) * n
     scaled = IntMat([[det * int(i == j) for j in range(n)] for i in range(n)])
     assert mat @ IntMat(adj) == scaled
     assert IntMat(adj) @ mat == scaled
@@ -157,7 +159,9 @@ def test_partition_adj_n_is_adj_times_n(case):
         return
     if dependent is not None:
         assert dependent not in part.basis_cols
-    det, adj = adjugate(part.b_mat)
+    b_rows = [list(row) for row in part.b_mat]
+    det = det_cofactor(b_rows)
+    adj = tuple(tuple(det * e for e in row) for row in inverse_rational(b_rows))
     assert (part.det, part.adj) == (det, adj)
     n_cols = [part.n_mat.col(j) for j in range(part.n_mat.cols)]
     assert part.adj_n == tuple(tuple(dot(row, col) for col in n_cols) for row in adj)

@@ -14,7 +14,7 @@ from diobox import (
     SingularError,
     det_exact,
     gcd_max_minors,
-    adjugate,
+    partition,
     solve_rational,
     xgcd,
 )
@@ -322,7 +322,8 @@ def test_solve_rational_roundtrip():
 
 
 def test_inverse_rational():
-    # the Fraction reference inverse, and the adjugate as det times it
+    # the Fraction reference inverse, and the partition's adj(B) of a square
+    # B as det times it
     rng = random.Random(7)
     done = 0
     while done < 100:
@@ -331,14 +332,15 @@ def test_inverse_rational():
         if det_exact(mat) == 0:
             assert inverse_rational([list(r) for r in mat]) is None
             with pytest.raises(SingularError):
-                adjugate(mat)
+                partition(mat, range(n))
             continue
         inv = inverse_rational([list(r) for r in mat])
         for i in range(n):
             for j in range(n):
                 acc = sum(inv[i][k] * mat[k][j] for k in range(n))
                 assert acc == (1 if i == j else 0)
-        det, adj = adjugate(mat)
-        assert det == det_exact(mat)
+        part = partition(mat, range(n))
+        det, adj = part.det, part.adj
+        assert det == det_exact(mat) == det_cofactor([list(r) for r in mat])
         assert adj == tuple(tuple(det * e for e in row) for row in inv)
         done += 1

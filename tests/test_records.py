@@ -16,6 +16,7 @@ from diobox import (
     ProblemInstance,
     box_reduce,
     integer_solution_set,
+    solve,
     special_basis,
 )
 from diobox.lattice import kernel_coset
@@ -95,6 +96,25 @@ def test_problem_instance_shape_checks():
     assert inst._replace(basis_cols=(1,)).basis_cols == (1,)
     with pytest.raises(DimensionMismatchError):
         inst._replace(b=(1, 2))
+    # b and basis_cols are stored as tuples, so a list b solves like a tuple
+    # (the witness check compares A x with b); ``_replace`` normalises too
+    a = IntMat([[3, 5, 7]])
+    listed = ProblemInstance(a, [20], [0])
+    assert listed == ProblemInstance(a, (20,), (0,))
+    assert (type(listed.b), type(listed.basis_cols)) == (tuple, tuple)
+    assert solve(ProblemInstance(a, [20])).x == (5, 1, 0)
+    replaced = inst._replace(b=[6], basis_cols=[2])
+    assert (replaced.b, replaced.basis_cols) == ((6,), (2,))
+    # an entry of b is an int, not a float or a bool; a is an IntMat
+    for b in [(20.0,), (True,), ("20",)]:
+        with pytest.raises(TypeError, match="b entry 0 is"):
+            ProblemInstance(a, b)
+        with pytest.raises(TypeError, match="b entry 0 is"):
+            inst._replace(b=b)
+    with pytest.raises(TypeError, match="b entry 1 is float"):
+        ProblemInstance(IntMat([[1, 0, 2], [0, 1, 3]]), (4, 5.0))
+    with pytest.raises(TypeError, match="a is list"):
+        ProblemInstance([[3, 5, 7]], (20,))
 
 
 def test_cli_import_leaves_out_dataclasses_and_oracle():
