@@ -9,7 +9,10 @@ on its pipe as soon as that file is done, and leaves through ``os._exit``.
 The parent merges the reports in file order, so what the batch prints and
 writes does not depend on ``W``. Forking is safe because the command line
 process runs no threads: ``tests/test_records.py`` checks that importing
-``diobox.cli`` loads neither ``threading`` nor a process pool.
+``diobox.cli`` loads neither ``threading`` nor a process pool. In a
+``diobox`` process the workers are forked after ``diobox.__main__.run``
+has frozen the import-time heap, so a collection in a worker skips those
+objects and leaves their pages shared with the parent.
 
 ``diobox.cli`` imports this module only for ``--batch``, so a single-file
 ``diobox solve`` does not load it.

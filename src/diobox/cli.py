@@ -222,7 +222,3 @@ def main(argv=None) -> int:
         code, line = _failure(exc)
         print(line, file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,13 @@
 """The package's result records are immutable named tuples, importing the
 command line pulls in neither ``dataclasses``, test-only code, the
-instance generator nor the code of the other commands, and a
-``diobox solve`` process loads only the solve path."""
+instance generator nor the code of the other commands, a ``diobox solve``
+process loads only the solve path, and both process entries import the
+command line with the collector off and freeze what the import made before
+``cli.main`` runs, while ``cli.main`` leaves the collector alone."""
 
+import gc
+import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,7 +27,10 @@ from diobox import (
 from diobox.lattice import kernel_coset
 from diobox.linalg import _adj_mul
 from diobox.solver import solve_with_conditions
-from conftest import OPTIMIZED, diobox_process
+from diobox.cli import main
+from conftest import OPTIMIZED, SRC, diobox_process
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _records():
@@ -113,6 +121,14 @@ def test_problem_instance_shape_checks():
             inst._replace(b=b)
     with pytest.raises(TypeError, match="b entry 1 is float"):
         ProblemInstance(IntMat([[1, 0, 2], [0, 1, 3]]), (4, 5.0))
+    # so is an entry of basis_cols: True would pick column 1
+    for cols, name in [((True,), "bool"), ((1.0,), "float")]:
+        with pytest.raises(TypeError, match=f"basis_cols entry 0 is {name}"):
+            ProblemInstance(a, (20,), cols)
+        with pytest.raises(TypeError, match=f"basis_cols entry 0 is {name}"):
+            inst._replace(basis_cols=cols)
+    with pytest.raises(TypeError, match="basis_cols entry 1 is str"):
+        ProblemInstance(IntMat([[1, 0, 2], [0, 1, 3]]), (4, 5), (0, "1"))
     with pytest.raises(TypeError, match="a is list"):
         ProblemInstance([[3, 5, 7]], (20,))
 
@@ -170,3 +186,63 @@ def test_solve_process_loads_only_the_solve_path(flags):
 def test_one_row_solve_process_loads_frobenius():
     loaded = _solve_imports("m1_feasible.json")
     assert loaded == {"diobox", "diobox.frobenius"} | {f"diobox.{n}" for n in SOLVE_PATH}
+
+
+def _python_c(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("entry", [
+    "sys.exit(diobox.__main__.run())",  # what the console script does
+    "runpy.run_module('diobox', run_name='__main__', alter_sys=True)",  # python -m diobox
+], ids=["script", "module"])
+def test_process_entry_freezes_the_import_time_heap(entry):
+    # with ``cli.main`` replaced by a probe, the probe sees what a command
+    # sees: the collector back on and the import-time objects frozen
+    code = (
+        "import gc, runpy, sys, diobox.cli, diobox.__main__\n"
+        "def probe(argv=None):\n"
+        "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "    return 7\n"
+        f"diobox.cli.main = probe\n{entry}\n"
+    )
+    proc = _python_c(code)
+    assert (proc.returncode, proc.stdout) == (7, "True True\n"), proc.stderr
+
+
+def test_process_entry_runs_no_collection_before_the_freeze():
+    # with the collector on, importing the command line would start several
+    # collections, each seeing a freeze count of 0
+    path = GOLDEN / "m3_feasible.json"
+    code = (
+        "import gc, sys, diobox.__main__\n"
+        "counts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start'"
+        " and counts.append(gc.get_freeze_count()))\n"
+        f"sys.argv = ['diobox', 'solve', '-i', {str(path)!r}, '--no-timing']\n"
+        "code = diobox.__main__.run()\n"
+        "sys.exit(99 if 0 in counts else code)\n"
+    )
+    proc = _python_c(code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == path.with_suffix(".solve.out").read_text(encoding="utf-8")
+
+
+def test_cli_main_leaves_the_collector_alone(capsys):
+    # the tests and the benchmark call main in long-lived processes
+    before = gc.isenabled(), gc.get_freeze_count()
+    path = GOLDEN / "m3_feasible.json"
+    assert main(["solve", "-i", str(path), "--no-timing"]) == 1
+    assert capsys.readouterr().out == path.with_suffix(".solve.out").read_text(encoding="utf-8")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    with open(pathlib.Path(SRC).parent / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"diobox": "diobox.__main__:run"}
+    # importing the module runs no command: only ``python -m diobox`` does
+    module, _, name = scripts["diobox"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
