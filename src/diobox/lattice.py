@@ -13,8 +13,10 @@ through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
 unique lower-triangular basis with positive diagonal and reduced
 subdiagonal entries, and reducing a point of the coset into the half-open
 box spanned by the Gram-Schmidt vectors of that basis is the core step of
-the solver. ``lift`` carries a point w of the coset back to a solution
-from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
+the solver; ``box_reduce`` does it in exact ``Fraction`` arithmetic that
+multiplies only nonzero entries. ``lift`` carries a point w of the coset
+back to a solution from the same products,
+``(adj(B) b - adj(B) N w) / det B``. The
 reference routines built on these, ``integer_solution_set`` (which lifts
 the coset point and the basis of L' that way) and ``special_basis``, live
 in ``diobox.reference``, which the solve path never loads.
@@ -163,28 +165,31 @@ class BoxReduction(NamedTuple):
     w: tuple
 
 
-def _gram_schmidt(vecs: Sequence[Sequence[int]]) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+def _gram_schmidt(
+    vecs: Sequence[Sequence[int]],
+) -> list[tuple[tuple[Fraction, ...], Fraction, list[int]]]:
     # each Gram-Schmidt vector as a dense Fraction tuple with its squared
-    # norm, all over the rationals: no integer fast path here, that is the
-    # integer triangular sweep's job. Each projection runs over the support
-    # (the nonzero coordinates) of the earlier vector, kept beside it: on a
-    # triangular basis every Gram-Schmidt vector has one nonzero entry
-    ortho: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    supports: list[list[int]] = []
+    # norm and its support (the nonzero coordinates), all over the
+    # rationals: no integer fast path here, that is the integer triangular
+    # sweep's job. A projection onto an earlier vector sums only over that
+    # vector's support where the new basis vector is nonzero, and an inner
+    # product of 0 divides and updates nothing: on a triangular basis every
+    # Gram-Schmidt vector has one nonzero entry
+    ortho: list[tuple[tuple[Fraction, ...], Fraction, list[int]]] = []
     for i, v in enumerate(vecs):
         b = tuple(map(Fraction, v))
         cur = list(b)
-        for (g, norm), supp in zip(ortho, supports):
-            mu = sum([b[t] * g[t] for t in supp]) / norm
-            if mu:
+        for g, norm, supp in ortho:
+            ip = sum([b[t] * g[t] for t in supp if v[t]])
+            if ip:
+                mu = ip / norm
                 for t in supp:
                     cur[t] -= mu * g[t]
         # entries can cancel, so the support is read after the updates
         supp = [t for t, c in enumerate(cur) if c]
         if not supp:
             raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append((tuple(cur), sum([cur[t] * cur[t] for t in supp])))
-        supports.append(supp)
+        ortho.append((tuple(cur), sum([cur[t] * cur[t] for t in supp]), supp))
     return ortho
 
 
@@ -192,15 +197,19 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReductio
     """Reduce ``point`` modulo the lattice into the Gram-Schmidt box.
 
     One exact Gram-Schmidt pass over the rationals builds each orthogonal
-    vector and its squared norm once. Each projection runs over the nonzero
-    entries of the earlier orthogonal vector only, and is skipped when its
-    coefficient is zero. Then, sweeping i from last to first, subtract
-    ``floor(lambda_i)`` copies of basis vector i, where lambda_i is the
-    coefficient of ``point`` against the i-th Gram-Schmidt vector; the sweep
-    reads the same dense orthogonal vectors as the plain pass would give.
-    Afterwards every coefficient lies in [0, 1), so w sits in the half-open
-    box spanned by the orthogonalized basis. The result depends only on the
-    coset ``point + L``, never on the representative.
+    vector, its squared norm and its support (its nonzero coordinates)
+    once. A projection onto an earlier orthogonal vector multiplies only
+    where its support meets the nonzero entries of the basis vector, and an
+    inner product of zero forms no coefficient. Then, sweeping i from last
+    to first, subtract ``floor(lambda_i)`` copies of basis vector i, where
+    lambda_i is the coefficient of ``point`` against the i-th Gram-Schmidt
+    vector, read over that vector's support alone. Afterwards every
+    coefficient lies in [0, 1), so w sits in the half-open box spanned by
+    the orthogonalized basis. On a lower-triangular basis every orthogonal
+    vector has one nonzero entry and every entry below a diagonal 1 is 0,
+    so the ``Fraction`` products and quotients grow with the dimension
+    times the number of diagonal entries above 1. The result depends only
+    on the coset ``point + L``, never on the representative.
 
     The point's int and Fraction entries are kept as they are, so an integer
     point stays integer throughout; any other entry (a float, a string
@@ -222,8 +231,8 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReductio
         raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
     ortho = _gram_schmidt(vecs)
     cur = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point)
-    for v, (g, norm) in zip(reversed(vecs), reversed(ortho)):
-        k = math.floor(dot(cur, g) / norm)
+    for v, (g, norm, supp) in zip(reversed(vecs), reversed(ortho)):
+        k = math.floor(sum([cur[t] * g[t] for t in supp]) / norm)
         if k:
             cur = tuple(c - k * e for c, e in zip(cur, v))
     return BoxReduction(cur)

@@ -26,6 +26,7 @@ from oracles import (
     integer_solution_set_hnf,
     solve_fraction,
     special_basis_hnf,
+    triangular_sweep,
 )
 
 
@@ -224,14 +225,30 @@ def test_gram_schmidt_reconstruction():
 
 def _assert_gram_schmidt_exact(vecs):
     # the support-only pass gives the oracle's dense vectors and squared
-    # norms, equal in value and all of type Fraction
+    # norms, equal in value and all of type Fraction, and with each vector
+    # its support: the nonzero coordinates of the oracle's vector, in order
     got = _gram_schmidt(vecs)
     want = gram_schmidt(vecs).ortho
-    assert [g for g, _ in got] == list(want)
-    assert [norm for _, norm in got] == [dot(g, g) for g in want]
-    for g, norm in got:
+    assert [g for g, _, _ in got] == list(want)
+    assert [norm for _, norm, _ in got] == [dot(g, g) for g in want]
+    assert [supp for _, _, supp in got] == [[t for t, e in enumerate(g) if e] for g in want]
+    for g, norm, _ in got:
         assert type(g) is tuple and len(g) == len(vecs)
         assert type(norm) is Fraction and all(type(e) is Fraction for e in g)
+
+
+def _count_fraction_ops(monkeypatch):
+    # counts every Fraction product and quotient from here on, int operands
+    # on the left included: int * Fraction ends in Fraction.__rmul__
+    counts = {"mul": 0, "div": 0}
+    for name, kind in (("__mul__", "mul"), ("__rmul__", "mul"), ("__truediv__", "div"), ("__rtruediv__", "div")):
+
+        def counted(a, b, op=getattr(Fraction, name), kind=kind):
+            counts[kind] += 1
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return counts
 
 
 def test_gram_schmidt_pass_on_sparse_bases():
@@ -255,9 +272,10 @@ def test_gram_schmidt_pass_on_sparse_bases():
 
 def test_gram_schmidt_pass_on_kernel_coset_bases():
     # the triangular bases the solver reduces against: hnf-like systems with
-    # m = 10..12, n = 2m and entries up to 1000
     rng = random.Random(22)
-    for m in (10, 11, 12, 10):
+    # m = 10..12, n = 2m and entries up to 1000, and one m = 20, n = 40
+    # system, the top of the size ladder
+    for m in (10, 11, 12, 10, 20):
         while True:
             a = IntMat([[rng.randint(-1000, 1000) for _ in range(2 * m)] for _ in range(m)])
             if det_exact(a.select_cols(range(m))):
@@ -268,6 +286,7 @@ def test_gram_schmidt_pass_on_kernel_coset_bases():
         _assert_gram_schmidt_exact(coset.basis.vectors)
         w = box_reduce(coset.basis.vectors, coset.point).w
         assert w == gram_schmidt_box_reduce(coset.basis.vectors, coset.point)
+        assert w == triangular_sweep(coset.basis.vectors, coset.point)
         assert all(type(e) is int for e in w)
 
 
@@ -276,9 +295,64 @@ def test_gram_schmidt_pass_entries_cancel():
     # second orthogonal vector loses both entries it started with
     vecs = [(1, 1, 0), (1, 1, 1), (0, 1, 1)]
     got = _gram_schmidt(vecs)
-    assert got[1] == ((0, 0, 1), 1)
-    assert got[2] == ((Fraction(-1, 2), Fraction(1, 2), 0), Fraction(1, 2))
+    assert got[1] == ((0, 0, 1), 1, [2])
+    assert got[2] == ((Fraction(-1, 2), Fraction(1, 2), 0), Fraction(1, 2), [0, 1])
     _assert_gram_schmidt_exact(vecs)
+
+
+def test_gram_schmidt_pass_zero_inside_support():
+    # vector 1 is 0 at coordinate 0 of the two-entry support of vector 0:
+    # the projection reads coordinate 1 alone, and the new orthogonal vector
+    # has a coordinate, 0, that its basis vector lacks, which the sweep reads
+    vecs = [(1, 1, 0), (0, 1, 1), (0, 0, 1)]
+    got = _gram_schmidt(vecs)
+    assert got[0] == ((1, 1, 0), 2, [0, 1])
+    assert got[1] == ((Fraction(-1, 2), Fraction(1, 2), 1), Fraction(3, 2), [0, 1, 2])
+    assert got[2] == ((Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3)), Fraction(1, 3), [0, 1, 2])
+    _assert_gram_schmidt_exact(vecs)
+    for x in ((5, 0, 0), (0, 0, 5), (7, -3, 4), (Fraction(5, 2), 1, -9)):
+        w = box_reduce(vecs, x).w
+        assert w == gram_schmidt_box_reduce(vecs, x)
+        assert _in_lattice(vecs, [a - b for a, b in zip(x, w)])
+
+
+def test_gram_schmidt_pass_inner_product_cancels(monkeypatch):
+    # vector 1 meets both coordinates of vector 0's support, but its two
+    # terms cancel: the inner product 1 - 1 is 0, so no coefficient is
+    # formed (no division at all in the pass) and vector 1 is kept as it is
+    vecs = [(1, 1, 0), (1, -1, 0), (0, 0, 1)]
+    counts = _count_fraction_ops(monkeypatch)
+    got = _gram_schmidt(vecs)
+    assert counts == {"mul": 2 + 2 + 2 + 1, "div": 0}  # vector 1's two terms, then the three norms
+    monkeypatch.undo()
+    assert [(g, norm) for g, norm, _ in got] == [((1, 1, 0), 2), ((1, -1, 0), 2), ((0, 0, 1), 1)]
+    _assert_gram_schmidt_exact(vecs)
+    w = box_reduce(vecs, (3, 0, 5)).w
+    assert w == gram_schmidt_box_reduce(vecs, (3, 0, 5)) == (1, 0, 0)
+
+
+def test_box_reduce_work_grows_with_k_on_a_triangular_basis(monkeypatch):
+    # a k = 20 lower-triangular basis with unit diagonal except d = 7 at
+    # coordinate 3: below a unit diagonal every entry is 0, so a vector
+    # projects only onto orthogonal vector 3, and only when it is nonzero
+    # at 3, and the sweep reads one coordinate per vector. The Fraction
+    # products and quotients then grow with k, at most 6 per vector (99
+    # here), not with k^2 (833 when every zero was multiplied)
+    k, p, d = 20, 3, 7
+
+    def entry(i, t):
+        if t == i:
+            return d if i == p else 1
+        return (5 * i + 1) % d if t == p < i else 0  # 0 for i = 4, 11, 18
+
+    vecs = [tuple(entry(i, t) for t in range(k)) for i in range(k)]
+    point = tuple((3 * t + 11) % d if t == p else t - 5 for t in range(k))
+    want = triangular_sweep(vecs, point)
+    counts = _count_fraction_ops(monkeypatch)
+    w = box_reduce(vecs, point).w
+    monkeypatch.undo()
+    assert w == want
+    assert counts["mul"] + counts["div"] <= 6 * k
 
 
 def test_gram_schmidt_pass_dependent():
