@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import CapExceededError, GcdNotOneError, NonPositiveEntryError
@@ -36,13 +37,7 @@ def f_chain(entries: Sequence[int]) -> tuple[int, ...]:
     Raises:
         NonPositiveEntryError: if some entry is not a positive integer.
     """
-    a = _check_entries(entries)
-    out = []
-    g = 0
-    for e in a:
-        g = math.gcd(g, e)
-        out.append(g)
-    return tuple(out)
+    return tuple(accumulate(_check_entries(entries), math.gcd))
 
 
 def brauer_G(entries: Sequence[int]) -> int:
@@ -52,10 +47,10 @@ def brauer_G(entries: Sequence[int]) -> int:
         NonPositiveEntryError: if some entry is not a positive integer.
         GcdNotOneError: if the entries are not coprime.
     """
-    chain = f_chain(entries)
+    a = _check_entries(entries)
+    chain = f_chain(a)
     if chain[-1] != 1:
         raise GcdNotOneError(f"entries have gcd {chain[-1]}")
-    a = tuple(entries)
     total = sum(a[i] * (chain[i - 1] // chain[i]) for i in range(1, len(a)))
     return total - sum(a)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, _scaled_solve, dot, kernel_echelon
+from .linalg import IntMat, _int_tuple, _scaled_solve, dot, kernel_echelon
 
 
 class BasisPartition(NamedTuple):
@@ -57,30 +57,32 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
     which has no columns when A is square.
 
     Raises:
+        TypeError: if an entry of ``cols`` is not an ``int`` or is a ``bool``.
         RankDeficientError: if ``cols`` is None and A has no m independent
             columns.
         DimensionMismatchError: if ``cols`` are not m distinct column indices.
         SingularError: if the chosen columns are singular.
     """
     m, n = a.rows, a.cols
-    mat = a
-    if cols is not None:
-        cols = tuple(cols)
+    explicit = cols is not None
+    if explicit:
+        cols = _int_tuple(cols, "cols entry {}")
         if len(cols) != m or len(set(cols)) != m or not all(0 <= c < n for c in cols):
             raise DimensionMismatchError(
                 f"basis columns must be {m} distinct indices below {n}, got {cols}"
             )
-        mat = a.select_cols(cols + tuple(j for j in range(n) if j not in cols))
-    # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
-    pivots, det, x = _scaled_solve(mat)
-    if cols is None:
+    else:
+        # the free columns are N's, then I's: x = [adj(B) N | adj(B)]
+        pivots, det, x = _scaled_solve(a)
         if not det:
             raise RankDeficientError(f"matrix has rank {len(pivots)}, expected {m}")
         cols = pivots
-    elif pivots != tuple(range(m)):
-        shown = [c + 1 for c in cols]  # as instance files give them
-        raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
     order = cols + tuple(j for j in range(n) if j not in cols)
+    if explicit:
+        pivots, det, x = _scaled_solve(a.select_cols(order))
+        if pivots != tuple(range(m)):
+            shown = [c + 1 for c in cols]  # as instance files give them
+            raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
     k = n - m
     adj, adj_n = tuple(tuple(r[k:]) for r in x), tuple(tuple(r[:k]) for r in x)
     b_mat, n_mat = a.select_cols(cols), a.select_cols(order[m:])

@@ -9,10 +9,13 @@ lattice determinant.
 This module builds no ``fractions.Fraction`` (the rational solve
 ``solve_rational`` lives in ``diobox.reference``), and there is no floating
 point and no tolerance in it; equality means equality.
-Matrix entries are checked once, when an ``IntMat`` is built from outside
-data; ``identity`` and the matrices derived from one (``select_cols``,
-``transpose``, products) hold entries already known to be ints and are not
-checked again.
+The rule for an entry from outside data, an ``int`` and not a ``bool``, is
+written once, in ``_int_tuple``: ``IntMat``, ``ProblemInstance``,
+``partition``, ``verify`` and ``integer_solution_set`` read their integer
+arguments through it. Matrix entries are checked once, when an ``IntMat``
+is built from outside data; ``identity`` and the matrices derived from one
+(``select_cols``, ``transpose``, products) hold entries already known to be
+ints and are not checked again.
 """
 
 from __future__ import annotations
@@ -51,6 +54,22 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
+def _int_tuple(entries: Iterable[int], name: str) -> tuple[int, ...]:
+    """``entries`` as a tuple, each an ``int`` and not a ``bool``.
+
+    One C-level pass accepts exact ints; anything else takes the entry
+    loop, which lets the other ``int`` subclasses through and raises a
+    ``TypeError`` for the first bad entry, named by ``name`` with its index
+    put in for ``{}``.
+    """
+    entries = tuple(entries)
+    if not set(map(type, entries)) <= {int}:
+        for i, e in enumerate(entries):
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"{name.format(i)} is {type(e).__name__}, expected int")
+    return entries
+
+
 def _adj_mul(adj: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     # adj(B) v: the one place a product of the adjugate with a vector is formed
     return tuple(dot(row, v) for row in adj)
@@ -77,17 +96,14 @@ class IntMat:
             raise DimensionMismatchError("matrix needs at least one row")
         width = len(data[0])
         # one C-level pass accepts equal-length rows of exact ints; anything
-        # else takes the entry loop, which names the first bad row or entry
-        # and lets the other int subclasses through
+        # else is read row by row, naming the first bad row or entry
         if len(set(map(len, data))) > 1 or not set(map(type, chain.from_iterable(data))) <= {int}:
             for i, row in enumerate(data):
                 if len(row) != width:
                     raise DimensionMismatchError(
                         f"row {i} has length {len(row)}, expected {width}"
                     )
-                for j, e in enumerate(row):
-                    if not isinstance(e, int) or isinstance(e, bool):
-                        raise TypeError(f"entry ({i},{j}) is {type(e).__name__}, expected int")
+                _int_tuple(row, f"entry ({i},{{}})")
         self._data, self.rows, self.cols = data, len(data), width
 
     @classmethod

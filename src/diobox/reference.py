@@ -25,7 +25,7 @@ from .errors import (
     require,
 )
 from .lattice import SpecialBasis, kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, det_exact, hnf_mod, kernel_echelon
+from .linalg import IntMat, _adj_mul, _int_tuple, det_exact, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(NamedTuple):
@@ -57,9 +57,11 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     column block B, carried back through ``adj(B)`` by ``lift``.
 
     Raises:
+        TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.
         RankDeficientError: if the rows of ``mat`` are linearly dependent.
         DimensionMismatchError: if ``rhs`` has the wrong length.
     """
+    rhs = _int_tuple(rhs, "rhs entry {}")
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)}, expected {mat.rows}")
     part = partition(mat)
@@ -69,7 +71,7 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
         return None
     kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
     x = lift(part, adj_b, coset.point)
-    require(mat.mul_vec(x) == tuple(rhs), "particular solution fails mat @ x = rhs", (mat, rhs))
+    require(mat.mul_vec(x) == rhs, "particular solution fails mat @ x = rhs", (mat, rhs))
     return AffineLatticeRep(x, kernel)
 
 

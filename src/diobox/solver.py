@@ -22,26 +22,13 @@ from typing import NamedTuple, Sequence
 from .cone import ConditionReport, deep_cone_report
 from .errors import DimensionMismatchError, require
 from .lattice import BasisPartition, box_reduce, kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, kernel_echelon
+from .linalg import IntMat, _adj_mul, _int_tuple, kernel_echelon
 
 
 class _InstanceFields(NamedTuple):
     a: IntMat
     b: tuple[int, ...]
     basis_cols: tuple[int, ...] | None = None
-
-
-def _int_tuple(name: str, entries: Sequence[int]) -> tuple[int, ...]:
-    """``entries`` as a tuple, each an ``int`` and not a ``bool``; a
-    ``TypeError`` names the first entry that is not."""
-    entries = tuple(entries)
-    # as in IntMat: one C-level pass accepts exact ints, and the entry loop
-    # names the first bad entry and lets the other int subclasses through
-    if not set(map(type, entries)) <= {int}:
-        for i, e in enumerate(entries):
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"{name} entry {i} is {type(e).__name__}, expected int")
-    return entries
 
 
 class ProblemInstance(_InstanceFields):
@@ -57,9 +44,9 @@ class ProblemInstance(_InstanceFields):
     def __new__(cls, a: IntMat, b: Sequence[int], basis_cols: Sequence[int] | None = None):
         if not isinstance(a, IntMat):
             raise TypeError(f"a is {type(a).__name__}, expected IntMat")
-        b = _int_tuple("b", b)
+        b = _int_tuple(b, "b entry {}")
         if basis_cols is not None:
-            basis_cols = _int_tuple("basis_cols", basis_cols)
+            basis_cols = _int_tuple(basis_cols, "basis_cols entry {}")
         if len(b) != a.rows:
             raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
         if a.rows >= a.cols:
@@ -180,10 +167,12 @@ def verify(a_mat: IntMat, b: Sequence[int], x: Sequence[int]) -> bool:
     """Whether x is a nonnegative integer solution of ``a_mat @ x = b``.
 
     Raises:
+        TypeError: if an entry of b or x is not an ``int`` or is a ``bool``.
         DimensionMismatchError: if shapes are inconsistent.
     """
+    b, x = _int_tuple(b, "b entry {}"), _int_tuple(x, "x entry {}")
     if len(b) != a_mat.rows:
         raise DimensionMismatchError(f"b has length {len(b)}, expected {a_mat.rows}")
     if len(x) != a_mat.cols:
         raise DimensionMismatchError(f"x has length {len(x)}, expected {a_mat.cols}")
-    return all(e >= 0 for e in x) and a_mat.mul_vec(x) == tuple(b)
+    return all(e >= 0 for e in x) and a_mat.mul_vec(x) == b

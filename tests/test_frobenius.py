@@ -42,6 +42,9 @@ def test_brauer_examples():
     assert brauer_G((6, 10, 15)) == 29
     assert brauer_G((5, 2, 3)) == 3
     assert brauer_G((2, 3)) == 1
+    # an iterator is read once, for the check and the gcd chain alike
+    assert brauer_G(iter([3, 5])) == 7
+    assert brauer_G(e for e in (3, 5)) == 7
 
 
 def test_brauer_gcd_not_one():

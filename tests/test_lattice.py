@@ -97,6 +97,10 @@ def test_integer_solution_set_errors():
         integer_solution_set(IntMat([[1, 2, 3], [2, 4, 6]]), (1, 2))
     with pytest.raises(DimensionMismatchError):
         integer_solution_set(IntMat([[1, 2]]), (1, 2))
+    # a float right-hand side would give the "integer" solution (0.0, 2.0, 0.0)
+    with pytest.raises(TypeError, match=r"^rhs entry 0 is float, expected int$"):
+        integer_solution_set(IntMat([[5, 2, 3]]), (4.0,))
+    assert integer_solution_set(IntMat([[5, 2, 3]]), iter([4])).particular == (0, 2, 0)
 
 
 def test_integer_solution_set_random_consistency():

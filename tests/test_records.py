@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from enum import IntEnum
 
 import pytest
 
@@ -129,6 +130,12 @@ def test_problem_instance_shape_checks():
             inst._replace(basis_cols=cols)
     with pytest.raises(TypeError, match="basis_cols entry 1 is str"):
         ProblemInstance(IntMat([[1, 0, 2], [0, 1, 3]]), (4, 5), (0, "1"))
+    # other int subclasses pass, and each field is read once, as a tuple
+    class Small(IntEnum):
+        ONE = 1
+
+    gen = ProblemInstance(a, (e for e in [20]), iter([Small.ONE]))
+    assert gen == ProblemInstance(a, (20,), (1,)) and solve(gen).x == (0, 4, 0)
     with pytest.raises(TypeError, match="a is list"):
         ProblemInstance([[3, 5, 7]], (20,))
 

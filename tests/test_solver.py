@@ -1,6 +1,8 @@
 import json
 import random
 import sys
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +26,10 @@ from diobox.gen import generate_instance
 
 import oracles
 from brute_force import brute_force_solve
+
+
+class Small(IntEnum):
+    ONE = 1
 
 
 def test_select_basis_leftmost():
@@ -107,6 +113,12 @@ def test_basis_partition_override_errors():
         basis_partition(ProblemInstance(a=a, b=(1, 1), basis_cols=(1, 1)))
     with pytest.raises(DimensionMismatchError):
         basis_partition(ProblemInstance(a=a, b=(1, 1), basis_cols=(1, 5)))
+    # explicit columns given to partition itself are ints, not bools: True
+    # would pick column 1
+    for cols, name in [([True], "bool"), ([0.0], "float")]:
+        with pytest.raises(TypeError, match=f"^cols entry 0 is {name}, expected int$"):
+            partition(IntMat([[1, 2, 3]]), cols)
+    assert partition(IntMat([[1, 2, 3]]), (c for c in [Small.ONE])).order == (1, 0, 2)
 
 
 def test_solve_nonnegative_witness():
@@ -161,6 +173,18 @@ def test_verify_examples():
         verify(a, (4,), (1, 2))
     with pytest.raises(DimensionMismatchError):
         verify(a, (4, 0), (0, 2, 0))
+    # b and x hold ints, not bools: 2 * 0.5 + 0 == 1, yet 0.5 is no integer
+    a = IntMat([[2, 1]])
+    for b, x, bad in [
+        ((1,), (0.5, 0), "x entry 0 is float"),
+        ((1,), (Fraction(1, 2), 0), "x entry 0 is Fraction"),
+        ((1,), (0, True), "x entry 1 is bool"),
+        ((1.0,), (0, 1), "b entry 0 is float"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{bad}, expected int$"):
+            verify(a, b, x)
+    # other int subclasses and any iterable are taken as they are
+    assert verify(a, iter([Small.ONE]), (e for e in (0, Small.ONE)))
 
 
 def test_solutions_always_verify():
