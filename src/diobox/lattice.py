@@ -13,10 +13,11 @@ through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
 unique lower-triangular basis with positive diagonal and reduced
 subdiagonal entries, and reducing a point of the coset into the half-open
 box spanned by the Gram-Schmidt vectors of that basis is the core step of
-the solver; ``box_reduce`` does it in exact ``Fraction`` arithmetic that
-multiplies only nonzero entries. ``lift`` carries a point w of the coset
-back to a solution from the same products,
-``(adj(B) b - adj(B) N w) / det B``. The
+the solver; ``box_reduce`` does it exactly, multiplying only nonzero
+entries: the basis stays ``int``, and a ``Fraction`` is formed only for a
+projection's quotient and the entries it changes, and for each coefficient
+of the sweep. ``lift`` carries a point w of the coset back to a solution
+from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
 reference routines built on these, ``integer_solution_set`` (which lifts
 the coset point and the basis of L' that way) and ``special_basis``, live
 in ``diobox.reference``, which the solve path never loads.
@@ -169,49 +170,56 @@ class BoxReduction(NamedTuple):
 
 def _gram_schmidt(
     vecs: Sequence[Sequence[int]],
-) -> list[tuple[tuple[Fraction, ...], Fraction, list[int]]]:
-    # each Gram-Schmidt vector as a dense Fraction tuple with its squared
-    # norm and its support (the nonzero coordinates), all over the
-    # rationals: no integer fast path here, that is the integer triangular
-    # sweep's job. A projection onto an earlier vector sums only over that
-    # vector's support where the new basis vector is nonzero, and an inner
-    # product of 0 divides and updates nothing: on a triangular basis every
-    # Gram-Schmidt vector has one nonzero entry
-    ortho: list[tuple[tuple[Fraction, ...], Fraction, list[int]]] = []
+) -> list[tuple[tuple, Fraction, list[int]]]:
+    # each Gram-Schmidt vector as a dense tuple with its squared norm, as a
+    # Fraction so that every quotient by it is exact, and its support (the
+    # nonzero coordinates). A vector starts as its basis vector's ints; a
+    # projection onto an earlier vector sums only over that vector's support
+    # where the basis vector is nonzero, and only an inner product other
+    # than 0 forms a quotient, mu, and turns the entries on that support
+    # into Fractions. On a triangular basis every Gram-Schmidt vector has
+    # one nonzero entry, and a vector no projection changes stays int
+    ortho: list[tuple[tuple, Fraction, list[int]]] = []
     for i, v in enumerate(vecs):
-        b = tuple(map(Fraction, v))
-        cur = list(b)
-        for g, norm, supp in ortho:
-            ip = sum([b[t] * g[t] for t in supp if v[t]])
+        cur = list(v)
+        supp = [t for t, e in enumerate(v) if e]
+        reach: set[int] = set()
+        for g, norm, g_supp in ortho:
+            ip = sum([v[t] * g[t] for t in g_supp if v[t]])
             if ip:
                 mu = ip / norm
-                for t in supp:
+                for t in g_supp:
                     cur[t] -= mu * g[t]
-        # entries can cancel, so the support is read after the updates
-        supp = [t for t, c in enumerate(cur) if c]
+                reach.update(g_supp)
+        if reach:
+            # entries can cancel, so the support is read after the updates,
+            # over the coordinates that can be nonzero alone
+            supp = sorted(t for t in reach.union(supp) if cur[t])
         if not supp:
             raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append((tuple(cur), sum([cur[t] * cur[t] for t in supp]), supp))
+        ortho.append((tuple(cur), Fraction(sum([cur[t] * cur[t] for t in supp])), supp))
     return ortho
 
 
 def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReduction:
     """Reduce ``point`` modulo the lattice into the Gram-Schmidt box.
 
-    One exact Gram-Schmidt pass over the rationals builds each orthogonal
-    vector, its squared norm and its support (its nonzero coordinates)
-    once. A projection onto an earlier orthogonal vector multiplies only
-    where its support meets the nonzero entries of the basis vector, and an
-    inner product of zero forms no coefficient. Then, sweeping i from last
-    to first, subtract ``floor(lambda_i)`` copies of basis vector i, where
-    lambda_i is the coefficient of ``point`` against the i-th Gram-Schmidt
-    vector, read over that vector's support alone. Afterwards every
-    coefficient lies in [0, 1), so w sits in the half-open box spanned by
-    the orthogonalized basis. On a lower-triangular basis every orthogonal
-    vector has one nonzero entry and every entry below a diagonal 1 is 0,
-    so the ``Fraction`` products and quotients grow with the dimension
-    times the number of diagonal entries above 1. The result depends only
-    on the coset ``point + L``, never on the representative.
+    One exact Gram-Schmidt pass builds each orthogonal vector, its squared
+    norm (a ``Fraction``) and its support (its nonzero coordinates) once.
+    Each orthogonal vector starts as its basis vector's ``int`` entries. A
+    projection onto an earlier orthogonal vector multiplies only where its
+    support meets the nonzero entries of the basis vector, and an inner
+    product of zero forms no coefficient and leaves the entries as they are.
+    Then, sweeping i from last to first, subtract ``floor(lambda_i)`` copies
+    of basis vector i, where lambda_i is the coefficient of ``point``
+    against the i-th Gram-Schmidt vector, read over that vector's support
+    alone. Afterwards every coefficient lies in [0, 1), so w sits in the
+    half-open box spanned by the orthogonalized basis. On a lower-triangular
+    basis every orthogonal vector has one nonzero entry and every entry
+    below a diagonal 1 is 0, so the ``Fraction`` products and quotients grow
+    with the dimension times the number of diagonal entries above 1, plus
+    one quotient per vector in the sweep. The result depends only on the
+    coset ``point + L``, never on the representative.
 
     The point's int and Fraction entries are kept as they are, so an integer
     point stays integer throughout; any other entry (a float, a string

@@ -11,7 +11,8 @@ This module builds no ``fractions.Fraction`` (the rational solve
 point and no tolerance in it; equality means equality.
 The rule for an entry from outside data, an ``int`` and not a ``bool``, is
 written once, in ``_int_tuple``: ``IntMat``, ``ProblemInstance``,
-``partition``, ``verify`` and ``integer_solution_set`` read their integer
+``partition``, ``verify`` and the reference routines ``integer_solution_set``,
+``solve_rational`` and ``deep_cone_condition`` read their integer
 arguments through it. Matrix entries are checked once, when an ``IntMat``
 is built from outside data; ``identity`` and the matrices derived from one
 (``select_cols``, ``transpose``, products) hold entries already known to be
@@ -252,7 +253,9 @@ def hnf_mod(
     ``mod * e_c`` among them, leave with a zero there. Since the lattice
     contains ``mod * Z^width``, every entry is kept reduced modulo ``mod``
     (Domich, Kannan and Trotter 1987; Cohen, Algorithm 2.4.8), so nothing
-    grows past ``mod``.
+    grows past ``mod``. When the pivot already divides a generator's entry,
+    that generator loses ``(entry / pivot)`` copies of the pivot vector and
+    the pivot vector is kept: no extended gcd is run.
 
     Raises:
         ValueError: if ``mod`` is not positive.
@@ -272,7 +275,8 @@ def hnf_mod(
         rest = []
         for g in rows:
             b = g.pop()
-            if b:
+            q, r = divmod(b, a)
+            if r:
                 h, s, t = xgcd(a, b)
                 ah, bh = a // h, b // h
                 # (p, g) <- (s p + t g, (a/h) g - (b/h) p): a unimodular step
@@ -281,6 +285,9 @@ def hnf_mod(
                     [(ah * y - bh * x) % mod for x, y in zip(p, g)],
                 )
                 a = h
+            elif q:
+                # the pivot divides the entry: g <- g - q p clears it, p stays
+                g = [(y - q * x) % mod for x, y in zip(p, g)]
             if any(g):
                 rest.append(g)
         p.append(a)

@@ -111,10 +111,12 @@ def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:
     """Solve ``mat @ x = rhs`` exactly over the rationals.
 
     Raises:
+        TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.
         NotSquareError: if the matrix is not square.
         DimensionMismatchError: if the right-hand side has the wrong length.
         SingularError: if the matrix is singular.
     """
+    rhs = _int_tuple(rhs, "rhs entry {}")
     if mat.rows != mat.cols:
         raise NotSquareError(f"solve with a {mat.rows}x{mat.cols} matrix")
     if len(rhs) != mat.rows:
@@ -139,11 +141,13 @@ def deep_cone_condition(
     is guaranteed nonnegative.
 
     Raises:
+        TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.
         ValueError: if ``gcd_a`` is not positive.
         NotSquareError: if ``b_mat`` is not square.
         SingularError: if ``b_mat`` is singular.
         DimensionMismatchError: if ``n_mat`` does not have the rows of ``b_mat``.
     """
+    rhs = _int_tuple(rhs, "rhs entry {}")
     if gcd_a < 1:
         raise ValueError(f"gcd must be a positive integer, got {gcd_a}")
     if b_mat.rows != b_mat.cols:

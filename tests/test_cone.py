@@ -117,7 +117,13 @@ def test_deep_cone_errors():
         deep_cone_condition(IntMat([[1, 0, 2], [0, 1, 3]]), IntMat([[1], [1]]), 1, (1, 1))
     with pytest.raises(DimensionMismatchError):
         deep_cone_condition(IntMat.identity(2), IntMat([[1], [1], [1]]), 1, (1, 1))
-    # the checks run in this order: gcd, shape of B, singular B, rows of N
+    # the checks run in this order: entries of rhs, gcd, shape of B,
+    # singular B, rows of N; a bad rhs entry is named, a bool included
+    for rhs, kind in (((True,), "bool"), ((10.5,), "float")):
+        with pytest.raises(TypeError, match=f"^rhs entry 0 is {kind}, expected int$"):
+            deep_cone_condition(IntMat([[2]]), IntMat([[3]]), 1, rhs)
+    with pytest.raises(TypeError, match=r"^rhs entry 1 is float, expected int$"):
+        deep_cone_condition(IntMat([[1, 2]]), IntMat([[1], [1]]), 0, (1, 1.0))
     with pytest.raises(ValueError):
         deep_cone_condition(IntMat([[1, 2]]), IntMat([[1], [1]]), 0, (1,))
     with pytest.raises(NotSquareError):

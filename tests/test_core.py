@@ -30,6 +30,7 @@ from diobox import (
     solve_rational,
     special_basis,
 )
+from diobox import linalg
 from diobox.cone import deep_cone_report
 from diobox.errors import InternalError
 from diobox.gen import push_into_deep_cone
@@ -283,6 +284,54 @@ def test_hnf_mod_matches_integer_hnf(data):
     for i, v in enumerate(got):
         assert mod % v[i] == 0 and not any(v[i + 1 :])
         assert all(0 <= v[j] < got[j][j] for j in range(i))
+
+
+def _record_xgcd(monkeypatch):
+    # the arguments of every extended gcd that hnf_mod runs from here on
+    calls = []
+
+    def recorded(a, b, xgcd=linalg.xgcd):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(linalg, "xgcd", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "gens, width, mod, want_calls",
+    [
+        # the second entry equals the pivot 2 that xgcd(8, 2) leaves
+        (((2,), (2,)), 1, 8, [(8, 2)]),
+        (((1, 2), (3, 2)), 2, 8, [(8, 2), (8, 4), (4, 2)]),
+        # the second entry is 3 times that pivot
+        (((2,), (6,)), 1, 8, [(8, 2)]),
+        (((1, 2), (3, 6)), 2, 8, [(8, 2), (8, 4)]),
+        # xgcd(8, 3) leaves the pivot 1, which divides every later entry
+        (((3,), (5,), (7,)), 1, 8, [(8, 3)]),
+        (((1, 3), (3, 5), (2, 7)), 2, 8, [(8, 3), (8, 4), (4, 5)]),
+    ],
+)
+def test_hnf_mod_dividing_pivot_runs_no_xgcd(monkeypatch, gens, width, mod, want_calls):
+    calls = _record_xgcd(monkeypatch)
+    got = hnf_mod(gens, width, mod)
+    monkeypatch.undo()
+    assert calls == want_calls
+    assert got == _hnf_mod_reference(gens, width, mod)
+
+
+def test_hnf_mod_runs_xgcd_only_where_the_pivot_does_not_divide(monkeypatch):
+    # moduli with many divisors make dividing pivots common; the basis is
+    # still the integer route's, and no xgcd runs on a pivot that divides
+    rng = random.Random(31)
+    calls = _record_xgcd(monkeypatch)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        mod = rng.choice((1, 2, 4, 6, 8, 12, 24, 36, 720))
+        gens = [[rng.randint(-50, 50) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+        assert hnf_mod(gens, width, mod) == _hnf_mod_reference(gens, width, mod)
+    monkeypatch.undo()
+    assert calls and all(b % a for a, b in calls)
 
 
 def _routes_agree(inst, oracle_gcd=True):

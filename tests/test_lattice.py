@@ -229,16 +229,21 @@ def test_gram_schmidt_reconstruction():
 
 def _assert_gram_schmidt_exact(vecs):
     # the support-only pass gives the oracle's dense vectors and squared
-    # norms, equal in value and all of type Fraction, and with each vector
-    # its support: the nonzero coordinates of the oracle's vector, in order
+    # norms, equal in value, with each vector its support: the nonzero
+    # coordinates of the oracle's vector, in order. Every entry is an int or
+    # a Fraction, every norm a Fraction, and a vector that no projection
+    # changed (every oracle coefficient is 0) is its basis vector's int tuple
     got = _gram_schmidt(vecs)
-    want = gram_schmidt(vecs).ortho
-    assert [g for g, _, _ in got] == list(want)
-    assert [norm for _, norm, _ in got] == [dot(g, g) for g in want]
-    assert [supp for _, _, supp in got] == [[t for t, e in enumerate(g) if e] for g in want]
-    for g, norm, _ in got:
+    want = gram_schmidt(vecs)
+    assert [g for g, _, _ in got] == list(want.ortho)
+    assert [norm for _, norm, _ in got] == [dot(g, g) for g in want.ortho]
+    assert [supp for _, _, supp in got] == [[t for t, e in enumerate(g) if e] for g in want.ortho]
+    for (g, norm, _), v, mu in zip(got, vecs, want.mu):
         assert type(g) is tuple and len(g) == len(vecs)
-        assert type(norm) is Fraction and all(type(e) is Fraction for e in g)
+        assert all(type(e) in (int, Fraction) for e in g)
+        assert type(norm) is Fraction
+        if not any(mu):
+            assert g == tuple(v) and all(type(e) is int for e in g)
 
 
 def _count_fraction_ops(monkeypatch):
@@ -327,7 +332,7 @@ def test_gram_schmidt_pass_inner_product_cancels(monkeypatch):
     vecs = [(1, 1, 0), (1, -1, 0), (0, 0, 1)]
     counts = _count_fraction_ops(monkeypatch)
     got = _gram_schmidt(vecs)
-    assert counts == {"mul": 2 + 2 + 2 + 1, "div": 0}  # vector 1's two terms, then the three norms
+    assert counts == {"mul": 0, "div": 0}  # every product is of ints, and no quotient is formed
     monkeypatch.undo()
     assert [(g, norm) for g, norm, _ in got] == [((1, 1, 0), 2), ((1, -1, 0), 2), ((0, 0, 1), 1)]
     _assert_gram_schmidt_exact(vecs)
@@ -339,9 +344,10 @@ def test_box_reduce_work_grows_with_k_on_a_triangular_basis(monkeypatch):
     # a k = 20 lower-triangular basis with unit diagonal except d = 7 at
     # coordinate 3: below a unit diagonal every entry is 0, so a vector
     # projects only onto orthogonal vector 3, and only when it is nonzero
-    # at 3, and the sweep reads one coordinate per vector. The Fraction
-    # products and quotients then grow with k, at most 6 per vector (99
-    # here), not with k^2 (833 when every zero was multiplied)
+    # at 3, and the sweep reads one coordinate per vector. The basis stays
+    # int, so the only Fraction operations are, for each vector that
+    # projects, its quotient mu and the product mu * g[3], and one quotient
+    # per vector in the sweep: 46 here, growing with k, not with k^2
     k, p, d = 20, 3, 7
 
     def entry(i, t):
@@ -352,11 +358,43 @@ def test_box_reduce_work_grows_with_k_on_a_triangular_basis(monkeypatch):
     vecs = [tuple(entry(i, t) for t in range(k)) for i in range(k)]
     point = tuple((3 * t + 11) % d if t == p else t - 5 for t in range(k))
     want = triangular_sweep(vecs, point)
+    projecting = sum(1 for v in vecs[p + 1 :] if v[p])
     counts = _count_fraction_ops(monkeypatch)
     w = box_reduce(vecs, point).w
     monkeypatch.undo()
     assert w == want
-    assert counts["mul"] + counts["div"] <= 6 * k
+    assert projecting == 13
+    assert counts == {"mul": projecting, "div": projecting + k}
+
+
+def test_box_reduce_exact_above_2_64():
+    # basis and point entries above 2**64, where a quotient of two ints
+    # would be a rounded float: every squared norm is a Fraction, so each
+    # coefficient is exact. Triangular bases with reduced entries below a
+    # large diagonal, then dense general bases
+    rng = random.Random(23)
+    big = 2**64
+    for k in (1, 2, 3, 5, 8):
+        diag = [rng.randint(big, 2**80) for _ in range(k)]
+        vecs = [tuple(rng.randrange(e) for e in diag[:i]) + (diag[i],) + (0,) * (k - 1 - i) for i in range(k)]
+        _assert_gram_schmidt_exact(vecs)
+        for _ in range(3):
+            x = tuple(rng.randint(-(2**90), 2**90) for _ in range(k))
+            w = box_reduce(vecs, x).w
+            assert w == triangular_sweep(vecs, x) == gram_schmidt_box_reduce(vecs, x)
+            assert all(type(e) is int and 0 <= e < dd for e, dd in zip(w, diag))
+    done = 0
+    while done < 6:
+        k = rng.randint(2, 4)
+        vecs = [tuple(rng.randint(-(2**70), 2**70) for _ in range(k)) for _ in range(k)]
+        if det_exact(IntMat(vecs)) == 0:
+            continue
+        _assert_gram_schmidt_exact(vecs)
+        x = tuple(rng.randint(-(2**90), 2**90) for _ in range(k))
+        w = box_reduce(vecs, x).w
+        assert w == gram_schmidt_box_reduce(vecs, x)
+        assert _in_lattice(vecs, [a - b for a, b in zip(x, w)])
+        done += 1
 
 
 def test_gram_schmidt_pass_dependent():

@@ -305,6 +305,13 @@ def test_solve_rational_errors():
         solve_rational(IntMat([[1, 2, 3]]), (1,))
     with pytest.raises(DimensionMismatchError):
         solve_rational(IntMat.identity(2), (1, 2, 3))
+    # rhs entries are checked first, and a bad one is named, a bool included
+    for rhs, i, kind in (((True, 1), 0, "bool"), ((1.0, 1), 0, "float"), ((1, 2.5), 1, "float")):
+        with pytest.raises(TypeError, match=f"^rhs entry {i} is {kind}, expected int$"):
+            solve_rational(IntMat([[2, 0], [0, 1]]), rhs)
+    with pytest.raises(TypeError, match=r"^rhs entry 0 is bool, expected int$"):
+        solve_rational(IntMat([[1, 2, 3]]), (False,))
+    assert solve_rational(IntMat([[2, 0], [0, 1]]), iter([1, 1])) == (Fraction(1, 2), 1)
 
 
 def test_solve_rational_roundtrip():
