@@ -153,5 +153,5 @@ def load_result_x(path: str) -> tuple[int, ...] | None:
     x = obj.get("x")
     if x is None:
         return None
-    x = _as_list(x, "field 'x'")
-    return tuple(parse_int(e, f"field 'x[{i}]'") for i, e in enumerate(x))
+    x = _as_list(x, f"{path}: field 'x'")
+    return tuple(parse_int(e, f"{path}: field 'x[{i}]'") for i, e in enumerate(x))

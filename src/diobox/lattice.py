@@ -11,12 +11,12 @@ solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
 ``kernel_coset`` builds both modulo D from ``adj(B) N`` and ``adj(B) b``
 through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
 unique lower-triangular basis with positive diagonal and reduced
-subdiagonal entries, and reducing a point of the coset into the half-open
-box spanned by the Gram-Schmidt vectors of that basis is the core step of
-the solver; ``box_reduce`` does it exactly, multiplying only nonzero
-entries: the basis stays ``int``, and a ``Fraction`` is formed only for a
-projection's quotient and the entries it changes, and for each coefficient
-of the sweep. ``lift`` carries a point w of the coset back to a solution
+subdiagonal entries. Its Gram-Schmidt vectors are its diagonal entries
+times the unit vectors, so the box they span is the integer box
+``0 <= w_i < v_i[i]``, and reducing a point of the coset into that box is
+the core step of the solver; ``box_reduce`` does it on the integers, one
+floor quotient per coordinate, and takes no other kind of basis.
+``lift`` carries a point w of the coset back to a solution
 from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
 reference routines built on these, ``integer_solution_set`` (which lifts
 the coset point and the basis of L' that way) and ``special_basis``, live
@@ -25,8 +25,6 @@ in ``diobox.reference``, which the solve path never loads.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
@@ -162,87 +160,49 @@ def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int])
 
 
 class BoxReduction(NamedTuple):
-    """The representative w of the coset ``point + L`` in the half-open
-    Gram-Schmidt box of the basis."""
+    """The representative w of the coset ``point + L`` in the box
+    ``0 <= w[i] < v_i[i]`` of a lower-triangular basis."""
 
-    w: tuple
-
-
-def _gram_schmidt(
-    vecs: Sequence[Sequence[int]],
-) -> list[tuple[tuple, Fraction, list[int]]]:
-    # each Gram-Schmidt vector as a dense tuple with its squared norm, as a
-    # Fraction so that every quotient by it is exact, and its support (the
-    # nonzero coordinates). A vector starts as its basis vector's ints; a
-    # projection onto an earlier vector sums only over that vector's support
-    # where the basis vector is nonzero, and only an inner product other
-    # than 0 forms a quotient, mu, and turns the entries on that support
-    # into Fractions. On a triangular basis every Gram-Schmidt vector has
-    # one nonzero entry, and a vector no projection changes stays int
-    ortho: list[tuple[tuple, Fraction, list[int]]] = []
-    for i, v in enumerate(vecs):
-        cur = list(v)
-        supp = [t for t, e in enumerate(v) if e]
-        reach: set[int] = set()
-        for g, norm, g_supp in ortho:
-            ip = sum([v[t] * g[t] for t in g_supp if v[t]])
-            if ip:
-                mu = ip / norm
-                for t in g_supp:
-                    cur[t] -= mu * g[t]
-                reach.update(g_supp)
-        if reach:
-            # entries can cancel, so the support is read after the updates,
-            # over the coordinates that can be nonzero alone
-            supp = sorted(t for t in reach.union(supp) if cur[t])
-        if not supp:
-            raise SingularError(f"vector {i} is dependent on the previous ones")
-        ortho.append((tuple(cur), Fraction(sum([cur[t] * cur[t] for t in supp])), supp))
-    return ortho
+    w: tuple[int, ...]
 
 
-def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> BoxReduction:
-    """Reduce ``point`` modulo the lattice into the Gram-Schmidt box.
+def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxReduction:
+    """Reduce ``point`` modulo the lattice of a lower-triangular basis into
+    the box ``0 <= w[i] < v_i[i]``.
 
-    One exact Gram-Schmidt pass builds each orthogonal vector, its squared
-    norm (a ``Fraction``) and its support (its nonzero coordinates) once.
-    Each orthogonal vector starts as its basis vector's ``int`` entries. A
-    projection onto an earlier orthogonal vector multiplies only where its
-    support meets the nonzero entries of the basis vector, and an inner
-    product of zero forms no coefficient and leaves the entries as they are.
-    Then, sweeping i from last to first, subtract ``floor(lambda_i)`` copies
-    of basis vector i, where lambda_i is the coefficient of ``point``
-    against the i-th Gram-Schmidt vector, read over that vector's support
-    alone. Afterwards every coefficient lies in [0, 1), so w sits in the
-    half-open box spanned by the orthogonalized basis. On a lower-triangular
-    basis every orthogonal vector has one nonzero entry and every entry
-    below a diagonal 1 is 0, so the ``Fraction`` products and quotients grow
-    with the dimension times the number of diagonal entries above 1, plus
-    one quotient per vector in the sweep. The result depends only on the
-    coset ``point + L``, never on the representative.
-
-    The point's int and Fraction entries are kept as they are, so an integer
-    point stays integer throughout; any other entry (a float, a string
-    ``Fraction`` accepts) is first converted to its exact ``Fraction``.
+    Basis vector i must have ``v_i[i] > 0`` and zeros after coordinate i,
+    the shape of every basis ``kernel_coset`` and ``special_basis`` build.
+    Its Gram-Schmidt vector is then ``v_i[i] e_i``, so this box is the
+    half-open Gram-Schmidt box, and the reduction runs on the integers:
+    sweeping i from the last coordinate to the first, subtract
+    ``q = cur[i] // v_i[i]`` copies of v_i, which leaves the coordinates
+    after i as they are. The result depends only on the coset
+    ``point + L``, never on the representative.
 
     Raises:
-        DimensionMismatchError: if the basis is empty or not square, or the
-            point has the wrong length.
-        SingularError: if the basis vectors are dependent.
+        TypeError: if an entry of the point or of a basis vector is not an
+            ``int`` or is a ``bool``.
+        DimensionMismatchError: if the basis is empty or not square, a basis
+            vector is not lower triangular with a positive diagonal entry, or
+            the point has the wrong length.
     """
-    vecs = [tuple(v) for v in vectors]
+    vecs = [_int_tuple(v, f"basis vector {i} entry {{}}") for i, v in enumerate(vectors)]
     d = len(vecs)
     if not d:
         raise DimensionMismatchError("need at least one vector")
     for i, v in enumerate(vecs):
         if len(v) != d:
             raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
-    if len(point) != d:
-        raise DimensionMismatchError(f"point has length {len(point)}, expected {d}")
-    ortho = _gram_schmidt(vecs)
-    cur = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point)
-    for v, (g, norm, supp) in zip(reversed(vecs), reversed(ortho)):
-        k = math.floor(sum([cur[t] * g[t] for t in supp]) / norm)
-        if k:
-            cur = tuple(c - k * e for c, e in zip(cur, v))
-    return BoxReduction(cur)
+        if v[i] <= 0 or any(v[i + 1 :]):
+            raise DimensionMismatchError(
+                f"basis vector {i} needs a positive entry {i} and zeros after it"
+            )
+    cur = _int_tuple(point, "point entry {}")
+    if len(cur) != d:
+        raise DimensionMismatchError(f"point has length {len(cur)}, expected {d}")
+    for i in reversed(range(d)):
+        v = vecs[i]
+        q = cur[i] // v[i]
+        if q:
+            cur = [c - q * e for c, e in zip(cur, v)]
+    return BoxReduction(tuple(cur))

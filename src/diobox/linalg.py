@@ -11,9 +11,9 @@ This module builds no ``fractions.Fraction`` (the rational solve
 point and no tolerance in it; equality means equality.
 The rule for an entry from outside data, an ``int`` and not a ``bool``, is
 written once, in ``_int_tuple``: ``IntMat``, ``ProblemInstance``,
-``partition``, ``verify`` and the reference routines ``integer_solution_set``,
-``solve_rational`` and ``deep_cone_condition`` read their integer
-arguments through it. Matrix entries are checked once, when an ``IntMat``
+``partition``, ``box_reduce``, ``verify`` and the reference routines
+``integer_solution_set``, ``solve_rational`` and ``deep_cone_condition``
+read their integer arguments through it. Matrix entries are checked once, when an ``IntMat``
 is built from outside data; ``identity`` and the matrices derived from one
 (``select_cols``, ``transpose``, products) hold entries already known to be
 ints and are not checked again.

@@ -112,9 +112,8 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int, tu
     gcd = coset.gcd
     if coset.point is None:
         return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd, adj_b
-    red = box_reduce(coset.basis.vectors, coset.point)
-    require(all(f.denominator == 1 for f in red.w), "box-reduced point is not integral", inst)
-    w = tuple(int(f) for f in red.w)
+    w = box_reduce(coset.basis.vectors, coset.point).w
+    require(all(type(e) is int for e in w), "box-reduced point is not integral", inst)
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
     require(box <= abs(part.det) // gcd, "box-reduced point outside the box", inst)

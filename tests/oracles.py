@@ -3,9 +3,9 @@ package. Everything here is deliberately naive: cofactor expansion, full
 minor enumeration, boolean reachability tables, the ``Fraction``
 Gauss-Jordan eliminations the package used before its fraction-free core,
 and the column Hermite normal form over the integers that the package used
-before it worked modulo |det B|, and the Gram-Schmidt box reduction the
-package ran before it orthogonalised in one pass, and the kernel echelon
-built from ``m * k`` products of ``adj(B)`` with N's columns, which the
+before it worked modulo |det B|, and the general Gram-Schmidt box
+reduction the package ran before its integer triangular sweep, and the
+kernel echelon built from ``m * k`` products of ``adj(B)`` with N's columns, which the
 package ran before its elimination gave ``adj(B) N``, and the lift through
 the residual ``b - N w`` the package ran before it lifted from
 ``adj(B) b``. Nothing imports from the package's internals beyond plain
@@ -464,9 +464,9 @@ def gram_schmidt(vectors: Sequence[Sequence]) -> GramSchmidtData:
 
 
 def gram_schmidt_box_reduce(vectors: Sequence[Sequence[int]], point: Sequence) -> tuple:
-    """The box reduction w of ``point`` the package computed before its
-    one-pass route: ``gram_schmidt`` with its ``mu`` table, every squared
-    norm again, and the point as ``Fraction`` entries.
+    """The box reduction w of ``point`` on any basis, the route the package
+    ran before its integer sweep: ``gram_schmidt`` with its ``mu`` table,
+    every squared norm again, and the point as ``Fraction`` entries.
 
     Raises:
         DimensionMismatchError: if the basis is not square or the point has

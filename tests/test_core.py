@@ -531,8 +531,8 @@ def test_modular_route_matches_hnf_route(inst):
 @SETTINGS
 @given(instances(), st.data())
 def test_box_reduce_is_the_triangular_sweep(inst, data):
-    # on the lower-triangular kernel_coset basis, the Fraction Gram-Schmidt
-    # box reduction is the integer sweep, and it depends only on the coset
+    # on the lower-triangular kernel_coset basis, box_reduce gives the
+    # oracle's integer sweep, and it depends only on the coset
     try:
         part = basis_partition(inst)
     except (RankDeficientError, SingularError):

@@ -579,6 +579,18 @@ def test_cli_deeply_nested_result_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to parse\n"
 
 
+def test_cli_result_field_errors_name_the_file(tmp_path, capsys):
+    # like an instance file's, a result file's field errors carry its path
+    inst = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    for text, field in (
+        ('{"x": 5}', "field 'x': expected a list, got int"),
+        ('{"x": ["0", "two", "0"]}', "field 'x[1]': expected an integer or decimal string, got 'two'"),
+    ):
+        res = _write(tmp_path / "r.json", text)
+        assert main(["verify", "-i", inst, "-s", res]) == 3
+        assert capsys.readouterr().err == f"error: {res}: {field}\n"
+
+
 def _mixed_batch(d):
     """Write a batch with every kind of outcome, sorted so that every
     worker count from 1 to 3 gets a mix; return its summary line."""
