@@ -42,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _int_arg(text: str) -> int:
+    # an integer on the command line follows the instance files' rule, so
+    # "1_0", " 5" and non-ASCII digits exit 3 as they do in a file
+    try:
+        return iomod.parse_int(text, "value")
+    except DioboxError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _report_obj(rep: ConditionReport) -> dict:
     return {
         "holds": rep.holds,
@@ -177,15 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--instance", metavar="FILE", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--m", type=int, required=True, help="number of equations")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--m", type=_int_arg, required=True, help="number of equations")
+    p.add_argument("--n", type=_int_arg, required=True, help="number of variables")
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--mode", choices=GEN_MODES, default="feasible")
-    p.add_argument("--max-entry", type=int, default=10, help="entry range is +-MAX")
+    p.add_argument("--max-entry", type=_int_arg, default=10, help="entry range is +-MAX")
 
     p = sub.add_parser("frobenius", help="f-chain, Brauer bound, Frobenius number")
-    p.add_argument("entries", type=int, nargs="+", help="positive coprime entries")
-    p.add_argument("--cap", type=int, default=10**6, help="residue table cap")
+    p.add_argument("entries", type=_int_arg, nargs="+", help="positive coprime entries")
+    p.add_argument("--cap", type=_int_arg, default=10**6, help="residue table cap")
 
     p = sub.add_parser("verify", help="check a candidate nonnegative solution")
     p.add_argument("-i", "--instance", metavar="FILE", required=True)

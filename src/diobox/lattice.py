@@ -14,8 +14,10 @@ unique lower-triangular basis with positive diagonal and reduced
 subdiagonal entries. Its Gram-Schmidt vectors are its diagonal entries
 times the unit vectors, so the box they span is the integer box
 ``0 <= w_i < v_i[i]``, and reducing a point of the coset into that box is
-the core step of the solver; ``box_reduce`` does it on the integers, one
-floor quotient per coordinate, and takes no other kind of basis.
+the core step of the solver. ``kernel_coset`` does it in the sweep that
+decides feasibility, one floor quotient per coordinate, and returns the
+box point itself; ``box_reduce`` runs the same sweep on any such basis for
+the benchmark's traced replay and the tests, and takes no other kind.
 ``lift`` carries a point w of the coset back to a solution
 from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
 reference routines built on these, ``integer_solution_set`` (which lifts
@@ -25,10 +27,11 @@ in ``diobox.reference``, which the solve path never loads.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
-from .linalg import IntMat, _int_tuple, _scaled_solve, dot, kernel_echelon
+from .linalg import IntMat, _box_sweep, _int_tuple, _scaled_solve, dot, kernel_echelon
 
 
 class BasisPartition(NamedTuple):
@@ -122,9 +125,9 @@ class SpecialBasis(NamedTuple):
 
 class KernelCoset(NamedTuple):
     """The projected kernel lattice L' of ``(B | N)`` as its special basis,
-    the gcd of the maximal minors of ``(B | N)``, and the point z0 of
-    ``[0, D)^(n-m)`` in the coset of L' that solves ``(B | N) x = b``, or
-    None when there is no integer solution."""
+    the gcd of the maximal minors of ``(B | N)``, and the point of the box
+    ``0 <= w_i < v_i[i]`` of that basis in the coset of L' that solves
+    ``(B | N) x = b``, or None when there is no integer solution."""
 
     basis: SpecialBasis
     gcd: int
@@ -132,28 +135,25 @@ class KernelCoset(NamedTuple):
 
 
 def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int]) -> KernelCoset:
-    """L', the gcd and the solution coset of ``(B | N) x = b`` modulo D.
+    """L', the gcd and the box point of the solution coset of ``(B | N) x = b``.
 
-    ``adj_n = adj(B) N``, ``adj_b = adj(B) b`` and D = |det B|. The
-    coset is found by reducing ``(0 ; adj_b mod D)`` along the last m
-    vectors of ``kernel_echelon``: a pivot that does not divide its entry
-    means no integer solution; otherwise ``(-z0 ; 0)`` is left, with
-    ``adj_n z0 = adj_b (mod D)``.
+    ``adj_n = adj(B) N``, ``adj_b = adj(B) b`` and D = |det B|. One sweep
+    reduces ``(0 ; -adj_b mod D)`` into the box of the whole
+    ``kernel_echelon``. That point is congruent to ``(z ; 0)`` modulo the
+    echelon's lattice exactly when ``adj_n z = adj_b (mod D)``, and the box
+    holds one point per coset; so a nonzero t part means no integer
+    solution, and otherwise the z part is the box point of the coset.
     """
     d, k = abs(det), len(adj_n[0])
     ech, gcd = kernel_echelon(det, adj_n)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
-    cur = [0] * k + [x % d for x in adj_b]
-    for c in reversed(range(k, len(cur))):
-        v = ech[c]
-        q, r = divmod(cur[c], v[c])
-        if r:
-            return KernelCoset(basis, gcd, None)
-        cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
-    point = tuple(-x % d for x in cur)
+    w = _box_sweep(ech, [0] * k + [-x % d for x in adj_b], d)
+    if any(w[k:]):
+        return KernelCoset(basis, gcd, None)
+    point = tuple(w[:k])
     require(
         all((x - dot(row, point)) % d == 0 for x, row in zip(adj_b, adj_n)),
-        "coset point fails adj(B) N z0 = adj(B) b (mod |det B|)",
+        "coset point fails adj(B) N z = adj(B) b (mod |det B|)",
         (det, adj_n, adj_b),
     )
     return KernelCoset(basis, gcd, point)
@@ -173,11 +173,11 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxRed
     Basis vector i must have ``v_i[i] > 0`` and zeros after coordinate i,
     the shape of every basis ``kernel_coset`` and ``special_basis`` build.
     Its Gram-Schmidt vector is then ``v_i[i] e_i``, so this box is the
-    half-open Gram-Schmidt box, and the reduction runs on the integers:
-    sweeping i from the last coordinate to the first, subtract
-    ``q = cur[i] // v_i[i]`` copies of v_i, which leaves the coordinates
-    after i as they are. The result depends only on the coset
-    ``point + L``, never on the representative.
+    half-open Gram-Schmidt box, and the reduction is ``kernel_coset``'s
+    integer sweep: from the last coordinate to the first, subtract
+    ``q = cur[i] // v_i[i]`` copies of v_i, modulo the product of the
+    diagonal, whose multiples of ``Z^d`` the lattice contains. The result
+    depends only on the coset ``point + L``, never on the representative.
 
     Raises:
         TypeError: if an entry of the point or of a basis vector is not an
@@ -200,9 +200,5 @@ def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxRed
     cur = _int_tuple(point, "point entry {}")
     if len(cur) != d:
         raise DimensionMismatchError(f"point has length {len(cur)}, expected {d}")
-    for i in reversed(range(d)):
-        v = vecs[i]
-        q = cur[i] // v[i]
-        if q:
-            cur = [c - q * e for c, e in zip(cur, v)]
-    return BoxReduction(tuple(cur))
+    det = math.prod(v[i] for i, v in enumerate(vecs))
+    return BoxReduction(tuple(_box_sweep(vecs, cur, det)))

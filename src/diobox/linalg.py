@@ -293,18 +293,29 @@ def hnf_mod(
         p.append(a)
         piv[c] = p
         rows = rest
-    # bring each entry left of a pivot into [0, pivot), right to left; a
-    # multiple of mod * e_j with j < i lies in the span of v_0..v_j, so the
-    # entries further left stay reduced modulo mod on the way
+    # bring each entry left of a pivot into [0, pivot): v_0..v_(i-1) span
+    # every lattice vector with zeros from coordinate i on, mod * Z^i among them
     for i in range(width):
-        v = piv[i]
-        for j in reversed(range(i)):
-            q = v[j] // piv[j][j]
-            if q:
-                pj = piv[j]
-                v[:j] = [(x - q * y) % mod for x, y in zip(v[:j], pj)]
-                v[j] -= q * pj[j]
+        piv[i][:i] = _box_sweep(piv, piv[i][:i], mod)
     return tuple(tuple(v) + (0,) * (width - 1 - i) for i, v in enumerate(piv))
+
+
+def _box_sweep(vecs: Sequence[Sequence[int]], cur: Sequence[int], mod: int) -> list[int]:
+    """The representative of ``cur`` in the box ``0 <= w_i < vecs[i][i]``.
+
+    ``vecs`` opens with a lower-triangular basis, positive diagonal, of a
+    lattice that contains ``mod * Z^d``, d = ``len(cur)``. Last coordinate
+    first, the floor quotient q by the pivot leaves the remainder as
+    ``w_i`` and takes q copies of ``vecs[i]`` off the coordinates before i,
+    modulo ``mod``; so the result depends only on the coset of ``cur``.
+    """
+    cur = list(cur)
+    for i in reversed(range(len(cur))):
+        v = vecs[i]
+        q, cur[i] = divmod(cur[i], v[i])
+        if q:
+            cur[:i] = [(x - q * y) % mod for x, y in zip(cur[:i], v)]
+    return cur
 
 
 def kernel_echelon(

@@ -54,7 +54,9 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     Returns None when the system has no integer solution, otherwise a
     particular solution together with ``n - m`` kernel basis vectors: the
     ``kernel_coset`` point and basis of L' for the leftmost nonsingular
-    column block B, carried back through ``adj(B)`` by ``lift``.
+    column block B, carried back through ``adj(B)`` by ``lift``. The point
+    lies in the box of that basis, so the particular solution is the ``x``
+    that ``solve`` returns when B is its basis.
 
     Raises:
         TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.

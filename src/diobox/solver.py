@@ -3,10 +3,9 @@
 Pipeline: pick a nonsingular column block B, whose one elimination gives
 ``det B``, ``adj(B)`` and ``adj(B) N``, form ``adj(B) b`` once, and decide
 integer feasibility modulo D = |det B| from those two products: the same
-reduction yields the triangular basis of the projected kernel lattice, a
-point of the projected solution coset and the gcd of the maximal minors.
-Reduce that point into the box of the triangular basis, then lift back
-from the same products. The lifted point is always an integer solution;
+reduction yields the triangular basis of the projected kernel lattice, the
+point of the projected solution coset in the box of that basis and the gcd
+of the maximal minors. Lift that point back from the same products. The lifted point is always an integer solution;
 when it is nonnegative the instance is solved, otherwise it is classified
 integer-feasible only, together with an exact report on ``adj(B) b``
 saying whether the right-hand side was inside the guaranteed region (in
@@ -21,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
 from .errors import DimensionMismatchError, require
-from .lattice import BasisPartition, box_reduce, kernel_coset, lift, partition
+from .lattice import BasisPartition, kernel_coset, lift, partition
 from .linalg import IntMat, _adj_mul, _int_tuple, kernel_echelon
 
 
@@ -112,7 +111,7 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int, tu
     gcd = coset.gcd
     if coset.point is None:
         return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd, adj_b
-    w = box_reduce(coset.basis.vectors, coset.point).w
+    w = coset.point
     require(all(type(e) is int for e in w), "box-reduced point is not integral", inst)
     require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
@@ -132,8 +131,8 @@ def solve(inst: ProblemInstance) -> SolveOutcome:
     Steps: with D = |det B|, solve ``adj(B) N z = adj(B) b (mod D)`` by
     ``kernel_coset``, which also gives the triangular basis of the projected
     kernel lattice and every entry of which stays below D; no solution means
-    infeasible. Box-reduce the coset point modulo that lattice, giving the
-    free part w >= 0; lift u = adj(B) (b - N w) / det B (always integral by
+    infeasible. Its coset point, in the box of that basis, is the free part
+    w >= 0; lift u = adj(B) (b - N w) / det B (always integral by
     construction) and undo the column permutation. If u >= 0 the witness is
     a nonnegative solution; otherwise the instance is integer-feasible only
     and the deep-cone report for b is attached.

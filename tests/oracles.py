@@ -6,7 +6,9 @@ and the column Hermite normal form over the integers that the package used
 before it worked modulo |det B|, and the general Gram-Schmidt box
 reduction the package ran before its integer triangular sweep, and the
 kernel echelon built from ``m * k`` products of ``adj(B)`` with N's columns, which the
-package ran before its elimination gave ``adj(B) N``, and the lift through
+package ran before its elimination gave ``adj(B) N``, and the coset point
+z0 in ``[0, D)`` that it box-reduced before one sweep gave the box point,
+and the lift through
 the residual ``b - N w`` the package ran before it lifted from
 ``adj(B) b``. Nothing imports from the package's internals beyond plain
 data (``IntMat`` and the result records), ``dot``, ``xgcd``, ``hnf_mod``,
@@ -24,7 +26,7 @@ from diobox.errors import (
     SingularError,
     require,
 )
-from diobox.lattice import BasisPartition, SpecialBasis
+from diobox.lattice import BasisPartition, KernelCoset, SpecialBasis
 from diobox.linalg import IntMat, dot, hnf_mod, xgcd
 from diobox.reference import AffineLatticeRep
 
@@ -404,6 +406,33 @@ def lift_residual(part: BasisPartition, rhs, w) -> tuple[int, ...]:
     for j, v in zip(part.order, [u for u, _ in lifted] + list(w)):
         x[j] = v
     return tuple(x)
+
+
+def kernel_coset_z0(det: int, adj, n_mat: IntMat, adj_b) -> KernelCoset:
+    """The solution coset by the route the package ran before one sweep of
+    the whole echelon gave the box point: reduce ``(0 ; adj_b mod D)`` along
+    the last m vectors of ``kernel_echelon_product``. A pivot that does not
+    divide its entry means no integer solution; otherwise ``(-z0 ; 0)`` is
+    left, with ``adj N z0 = adj_b (mod D)`` and z0 in ``[0, D)^k``, and
+    ``triangular_sweep`` moves z0 into the box of L'."""
+    d, k = abs(det), n_mat.cols
+    ech, gcd = kernel_echelon_product(det, adj, n_mat)
+    basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
+    cur = [0] * k + [x % d for x in adj_b]
+    for c in reversed(range(k, len(cur))):
+        v = ech[c]
+        q, r = divmod(cur[c], v[c])
+        if r:
+            return KernelCoset(basis, gcd, None)
+        cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
+    z0 = tuple(-x % d for x in cur)
+    n_z0 = n_mat.mul_vec(z0)
+    require(
+        all((x - dot(row, n_z0)) % d == 0 for x, row in zip(adj_b, adj)),
+        "z0 fails adj(B) N z0 = adj(B) b (mod |det B|)",
+        (det, n_mat, adj_b),
+    )
+    return KernelCoset(basis, gcd, triangular_sweep(basis.vectors, z0))
 
 
 def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, ...]:

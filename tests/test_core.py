@@ -42,8 +42,10 @@ from oracles import (
     det_cofactor,
     echelon_pivots,
     hnf_column,
+    integer_feasible_minor_test,
     integer_solution_set_hnf,
     inverse_rational,
+    kernel_coset_z0,
     kernel_echelon_product,
     lift_residual,
     minors_gcd,
@@ -357,6 +359,7 @@ def _routes_agree(inst, oracle_gcd=True):
     want = special_basis_hnf(project_drop_m(rep.kernel_basis, m))
     assert basis == want.vectors
     w = box_reduce(want.vectors, rep.particular[m:]).w
+    assert coset.point == w
     assert box_reduce(basis, coset.point).w == w
     return tuple(int(f) for f in w)
 
@@ -548,6 +551,45 @@ def test_box_reduce_is_the_triangular_sweep(inst, data):
     moved = [p + sum(c * v[j] for c, v in zip(coeffs, basis)) for j, p in enumerate(coset.point)]
     assert triangular_sweep(basis, moved) == w
     assert box_reduce(basis, moved).w == w
+
+
+@st.composite
+def coset_cases(draw):
+    """``(rows, cols, b)``: a ``partitioned`` matrix, square ones included,
+    and ``b`` either ``A x`` or arbitrary, so mostly infeasible when
+    ``|det B| > 1``."""
+    rows, cols, _ = draw(partitioned())
+    n = len(rows[0])
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        return rows, cols, tuple(dot(row, x) for row in rows)
+    return rows, cols, tuple(draw(_vector(len(rows))))
+
+
+@SETTINGS
+@given(coset_cases())
+@hypothesis.example(([[2, 1], [1, 3]], None, (4, 7)))  # square A, feasible
+@hypothesis.example(([[2, 1], [1, 3]], None, (3, 5)))  # square A, infeasible
+@hypothesis.example(([[-6, 4, 9, 15]], None, (7,)))  # det B < 0
+@hypothesis.example(([[3, 1, 4, 1], [5, 9, 2, 6]], (1, 0), (7, 8)))  # explicit, det B = -22
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], None, (3, 5)))  # infeasible
+@hypothesis.example(([[4, -2, -3], [2, 0, 0]], None, (-3, 7)))  # infeasible, last t entry 0
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], (2, 3), (4, 6)))  # explicit, D = 124
+def test_kernel_coset_matches_z0_search(case):
+    # one sweep of (0 ; -adj_b) along the whole echelon against the route it
+    # replaced: the search for z0 in [0, D) along the last m echelon vectors,
+    # then the triangular sweep of z0 along L'. Both give the same basis and
+    # gcd, say infeasible together, and give the same box point
+    rows, cols, b = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    adj_b = _adj_mul(part.adj, b)
+    coset = kernel_coset(part.det, part.adj_n, adj_b)
+    assert coset == kernel_coset_z0(part.det, part.adj, part.n_mat, adj_b)
+    assert (coset.point is None) == (not integer_feasible_minor_test(rows, b))
 
 
 @SETTINGS

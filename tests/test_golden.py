@@ -59,20 +59,21 @@ def test_golden_output(name, code, args, monkeypatch):
     assert got_code == int(code)
 
 
-# (_eliminate calls, kernel_echelon calls, adj(B) v products, partitions)
-# of one command: the basis partition is the only elimination of B, and
-# adj(B) b is formed once; check and bounds add det(A A^T) for the
-# diagnostic bound, gen deep forms adj(B) b for b and for the pushed b, and
-# verify and frobenius build no partition at all
+# (_eliminate calls, kernel_echelon calls, adj(B) v products, partitions,
+# box_reduce calls) of one command: the basis partition is the only
+# elimination of B, and adj(B) b is formed once; check and bounds add
+# det(A A^T) for the diagnostic bound, gen deep forms adj(B) b for b and for
+# the pushed b, and verify and frobenius build no partition at all. No
+# command box-reduces: kernel_coset's sweep already gives the box point
 CALLS = {
-    "solve": (1, 1, 1, 1),
-    "check": (2, 1, 1, 1),
-    "bounds": (2, 1, 1, 1),
-    "gen feasible": (1, 0, 0, 1),
-    "gen deep": (1, 1, 2, 1),
-    "gen boundary": (1, 0, 0, 1),
-    "verify": (0, 0, 0, 0),
-    "frobenius": (0, 0, 0, 0),
+    "solve": (1, 1, 1, 1, 0),
+    "check": (2, 1, 1, 1, 0),
+    "bounds": (2, 1, 1, 1, 0),
+    "gen feasible": (1, 0, 0, 1, 0),
+    "gen deep": (1, 1, 2, 1, 0),
+    "gen boundary": (1, 0, 0, 1, 0),
+    "verify": (0, 0, 0, 0, 0),
+    "frobenius": (0, 0, 0, 0, 0),
 }
 
 
@@ -81,7 +82,10 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     # every golden gen seed keeps its first draw of A, so each command that
     # reads a basis, gen included, builds exactly one BasisPartition
     monkeypatch.chdir(ROOT)
-    funcs = (linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition)
+    funcs = (
+        linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition,
+        lattice.box_reduce,
+    )
     codes = [f.__code__ for f in funcs]
     counts = [0] * len(codes)
 

@@ -404,6 +404,31 @@ def test_parse_int_over_limit_is_format_error():
 
 @pytest.mark.parametrize(
     "text",
+    ["1_0", "\u0663", " 5", "5\n", "0x10", OVER_LIMIT],
+    ids=["underscore", "arabic_digit", "space", "newline", "hex", "over_limit"],
+)
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["frobenius", "{}", "7"], "entries"),
+        (["frobenius", "10", "7", "--cap", "{}"], "--cap"),
+        (["gen", "--m", "{}", "--n", "3", "--seed", "1"], "--m"),
+        (["gen", "--m", "1", "--n", "{}", "--seed", "1"], "--n"),
+        (["gen", "--m", "1", "--n", "3", "--seed", "{}"], "--seed"),
+        (["gen", "--m", "1", "--n", "3", "--seed", "1", "--max-entry", "{}"], "--max-entry"),
+    ],
+)
+def test_cli_integer_arguments_follow_the_file_rule(capsys, text, args, flag):
+    # argparse's int() takes "1_0", " 5" and non-ASCII digits, which an
+    # instance file and verify's entries reject: every integer argument is
+    # read by parse_int's rule, and exits 3 naming the argument
+    assert main([a.format(text) for a in args]) == 3
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
     [
         '{"m": 1, "n": 2, "A": [["%s", "3"]], "b": ["5"]}' % OVER_LIMIT,  # decimal string
         '{"m": 1, "n": 2, "A": [[%s, 3]], "b": [5]}' % OVER_LIMIT,  # JSON literal
