@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import NoReturn
 
 from .cli import _discard_output, _failure, _solve_file
 from .errors import DioboxError
@@ -51,7 +50,7 @@ def _report(src: str, dst: str, with_timing: bool) -> tuple:
     return None, None, status.value
 
 
-def _worker(jobs, w: int, workers: int, with_timing: bool, out_fd: int, inherited) -> NoReturn:
+def _worker(jobs, w: int, workers: int, with_timing: bool, out_fd: int, inherited) -> None:
     """The body of forked worker ``w``: send ``[index, *report]`` for each
     of its jobs on ``out_fd``; never return, so nothing of the parent's
     callers, buffers or exit handlers runs in the child."""

@@ -51,15 +51,22 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _ratio_str(pair: tuple[int, int]) -> str:
+    """A report's ``(numerator, denominator)`` pair as ``str(Fraction)``
+    prints it: ``n/d``, or ``n`` when d = 1."""
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _report_obj(rep: ConditionReport) -> dict:
     return {
         "holds": rep.holds,
-        "t_squared": str(rep.threshold_squared),
+        "t_squared": _ratio_str(rep.threshold_squared),
         "per_facet": [
             {
                 "facet": f.facet + 1,
-                "lhs_squared": str(f.lhs_squared),
-                "rhs_squared": str(f.rhs_squared),
+                "lhs_squared": _ratio_str(f.lhs_squared),
+                "rhs_squared": _ratio_str(f.rhs_squared),
                 "lhs_nonnegative": f.lhs_nonnegative,
                 "ok": f.satisfied,
             }
@@ -86,7 +93,7 @@ def _shifted_section(cond: Conditions) -> dict:
     return {
         "applicable": True,
         "holds": rep.holds,
-        "shift_squared": str(rep.threshold_squared),
+        "shift_squared": _ratio_str(rep.threshold_squared),
     }
 
 

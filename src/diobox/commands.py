@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import io as iomod
-from .cli import _condition_sections, _emit, _shifted_section, _unlimited_digits
+from .cli import _condition_sections, _emit, _ratio_str, _shifted_section, _unlimited_digits
 from .cone import max_col_norm_squared
 from .errors import CapExceededError, DioboxError, RankDeficientError
 from .linalg import IntMat, det_exact
@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
         if x is None:  # nothing to verify: {"ok": false}, and the note
             print("result file carries no witness vector", file=sys.stderr)
     elif args.x:
-        x = tuple(iomod.parse_int(e, "argument") for e in args.x)
+        x = tuple(iomod.parse_int(e, f"argument entry {i}") for i, e in enumerate(args.x))
     else:
         raise DioboxError("no candidate solution given")
     ok = x is not None and verify(inst.a, inst.b, x)
@@ -135,8 +135,8 @@ def cmd_bounds(args) -> int:
             "lattice_determinant": str(abs(part.det) // cond.gcd),
             "l_b_squared": str(max_col_norm_squared(part.b_mat)),
             "l_n_squared": str(max_col_norm_squared(part.n_mat)),
-            "deep_threshold_squared": str(t_sq),
-            "deep_threshold": {"approx": True, "value": approx_sqrt(*t_sq.as_integer_ratio())},
+            "deep_threshold_squared": _ratio_str(t_sq),
+            "deep_threshold": {"approx": True, "value": approx_sqrt(*t_sq)},
             "projection_bound": {"approx": True, "value": aliev_henk_t_bound(inst.a)},
             "p_factor": {"approx": True, "value": aliev_henk_p(inst.a.rows, inst.a.cols)},
             "hermite_constant_threshold": "not evaluated",

@@ -4,7 +4,10 @@ For a nonsingular integer matrix B the cone C_B is the set of nonnegative
 real combinations of its columns. Membership and "distance at least t from
 every facet" are decided exactly by comparing squares of integers built
 from the adjugate of B, so no square root is ever taken on the decision
-path; rationals appear only in the reports. There is no float in this
+path. A report holds each squared quantity as a ``(numerator,
+denominator)`` pair of ints in lowest terms, with a positive denominator,
+and decides a facet by cross-multiplying two such pairs; the command line
+prints a pair as ``n/d``, or ``n`` when d = 1. There is no float in this
 module: the approximate diagnostics that ``check`` and ``bounds`` print
 live in ``diobox.commands``, and ``deep_cone_condition``, the report from
 the blocks B and N, in ``diobox.reference``.
@@ -12,35 +15,43 @@ the blocks B and N, in ``diobox.reference``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+import math
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import WrongRowCountError, require
 from .linalg import IntMat, dot
 
 
-class FacetCheck(NamedTuple):
+class FacetCheck(namedtuple("FacetCheck", "facet lhs_squared rhs_squared lhs_nonnegative")):
     """Squared margin comparison for one facet of a simplicial cone.
 
     The facet passes when the point is on the inner side (lhs_nonnegative)
     and its squared distance to the facet hyperplane is at least the squared
-    threshold, i.e. lhs_squared >= rhs_squared.
+    threshold, i.e. lhs_squared >= rhs_squared. Both squares are
+    ``(numerator, denominator)`` pairs of ints in lowest terms with a
+    positive denominator.
     """
 
-    facet: int
-    lhs_squared: Fraction
-    rhs_squared: Fraction
-    lhs_nonnegative: bool
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs_nonnegative and self.lhs_squared >= self.rhs_squared
+        (ln, ld), (rn, rd) = self.lhs_squared, self.rhs_squared
+        return self.lhs_nonnegative and ln * rd >= rn * ld
 
 
-class ConditionReport(NamedTuple):
-    holds: bool
-    threshold_squared: Fraction
-    facets: tuple[FacetCheck, ...]
+class ConditionReport(namedtuple("ConditionReport", "holds threshold_squared facets")):
+    """Whether every facet passes, the squared depth threshold as a
+    ``(numerator, denominator)`` pair in lowest terms, and the facets."""
+
+    __slots__ = ()
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    # num / den in lowest terms, for den > 0
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def max_col_norm_squared(mat: IntMat) -> int:
@@ -73,7 +84,7 @@ def deep_cone_report(
     ``p = D B^-1 b``: a comparison of integers.
     """
     scale, norms = _deep_thresholds(det, adj, n_mat, gcd_a)
-    den, threshold = (gcd_a * det) ** 2, Fraction(scale, gcd_a * gcd_a)
+    den, threshold = (gcd_a * det) ** 2, _ratio(scale, gcd_a * gcd_a)
     return _facet_report(cone_coords(det, adj_b), abs(det), norms, den, threshold)
 
 
@@ -105,18 +116,14 @@ def shifted_cone_report(
     require(all(c >= 0 for c in q), "shifted cone: the column sum left C_B", (det, adj_n))
     scale = max_col_norm_squared(b_mat) * max_col_norm_squared(n_mat) * (d - 1) ** 2
     norms = [scale * c * c for c in q]
-    return _facet_report(cone_coords(det, adj_b), d, norms, d**4, Fraction(scale, d * d))
+    return _facet_report(cone_coords(det, adj_b), d, norms, d**4, _ratio(scale, d * d))
 
 
-def _facet_report(coords, d: int, nums, den: int, threshold: Fraction) -> ConditionReport:
-    # facet i holds iff coords[i] / d >= 0 and (coords[i] / d)^2 >= nums[i] / den,
-    # decided on integers; the Fractions are only the report fields
+def _facet_report(coords, d: int, nums, den: int, threshold: tuple[int, int]) -> ConditionReport:
+    # facet i holds iff coords[i] / d >= 0 and (coords[i] / d)^2 >= nums[i] / den
     d_sq = d * d
-    return ConditionReport(
-        holds=all(p >= 0 and p * p * den >= r * d_sq for p, r in zip(coords, nums)),
-        threshold_squared=threshold,
-        facets=tuple(
-            FacetCheck(i, Fraction(p * p, d_sq), Fraction(r, den), p >= 0)
-            for i, (p, r) in enumerate(zip(coords, nums))
-        ),
+    facets = tuple(
+        FacetCheck(i, _ratio(p * p, d_sq), _ratio(r, den), p >= 0)
+        for i, (p, r) in enumerate(zip(coords, nums))
     )
+    return ConditionReport(all(f.satisfied for f in facets), threshold, facets)

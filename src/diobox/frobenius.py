@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .errors import CapExceededError, GcdNotOneError, NonPositiveEntryError
 

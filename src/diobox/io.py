@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
 
 from .errors import DioboxError, InstanceFormatError
 from .linalg import IntMat
@@ -20,7 +19,7 @@ from .solver import ProblemInstance
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_int(value: Any, where: str) -> int:
+def parse_int(value: object, where: str) -> int:
     if isinstance(value, bool):
         raise InstanceFormatError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
@@ -44,13 +43,13 @@ def _json_int(text: str) -> int | str:
         return text
 
 
-def _as_list(value: Any, where: str) -> list:
+def _as_list(value: object, where: str) -> list:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{where}: expected a list, got {type(value).__name__}")
     return value
 
 
-def obj_to_instance(obj: Any) -> ProblemInstance:
+def obj_to_instance(obj: object) -> ProblemInstance:
     """Validate a decoded instance object; errors carry the offending field."""
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"instance must be an object, got {type(obj).__name__}")
@@ -103,11 +102,11 @@ def instance_to_obj(inst: ProblemInstance) -> dict:
     return obj
 
 
-def dumps_canonical(obj: Any) -> str:
+def dumps_canonical(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=_json_int)

@@ -28,25 +28,20 @@ in ``diobox.reference``, which the solve path never loads.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError, SingularError, require
 from .linalg import IntMat, _box_sweep, _int_tuple, _scaled_solve, dot, kernel_echelon
 
 
-class BasisPartition(NamedTuple):
+class BasisPartition(namedtuple("BasisPartition", "basis_cols order b_mat n_mat det adj adj_n")):
     """Basis column indices, the induced column order (basis first), the
     corresponding blocks of A, ``det = det(b_mat)``, its adjugate ``adj``
     (``b_mat @ adj == det * I``) and ``adj_n = adj @ n_mat``, an m x k block
     with empty rows when k = 0."""
 
-    basis_cols: tuple[int, ...]
-    order: tuple[int, ...]
-    b_mat: IntMat
-    n_mat: IntMat
-    det: int
-    adj: tuple[tuple[int, ...], ...]
-    adj_n: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
@@ -111,27 +106,25 @@ def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
     return tuple(x)
 
 
-class SpecialBasis(NamedTuple):
+class SpecialBasis(namedtuple("SpecialBasis", "vectors")):
     """Lower-triangular lattice basis: vectors[i][i] > 0, zeros above the
     diagonal, and 0 <= vectors[i][j] < vectors[j][j] for j < i. This basis is
     unique for a given full-rank lattice."""
 
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(v[i] for i, v in enumerate(self.vectors))
 
 
-class KernelCoset(NamedTuple):
+class KernelCoset(namedtuple("KernelCoset", "basis gcd point")):
     """The projected kernel lattice L' of ``(B | N)`` as its special basis,
     the gcd of the maximal minors of ``(B | N)``, and the point of the box
     ``0 <= w_i < v_i[i]`` of that basis in the coset of L' that solves
     ``(B | N) x = b``, or None when there is no integer solution."""
 
-    basis: SpecialBasis
-    gcd: int
-    point: tuple[int, ...] | None
+    __slots__ = ()
 
 
 def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int]) -> KernelCoset:
@@ -159,11 +152,11 @@ def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int])
     return KernelCoset(basis, gcd, point)
 
 
-class BoxReduction(NamedTuple):
+class BoxReduction(namedtuple("BoxReduction", "w")):
     """The representative w of the coset ``point + L`` in the box
     ``0 <= w[i] < v_i[i]`` of a lower-triangular basis."""
 
-    w: tuple[int, ...]
+    __slots__ = ()
 
 
 def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxReduction:

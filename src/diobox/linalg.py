@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from itertools import chain
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -49,7 +49,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def dot(u: Sequence, v: Sequence):
-    """Inner product of two equal-length vectors (int or Fraction entries)."""
+    """Inner product of two equal-length integer vectors."""
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
     return sum(map(operator.mul, u, v))

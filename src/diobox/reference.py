@@ -14,8 +14,9 @@ never loads it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from .cone import ConditionReport, deep_cone_report
 from .errors import (
@@ -28,11 +29,10 @@ from .lattice import SpecialBasis, kernel_coset, lift, partition
 from .linalg import IntMat, _adj_mul, _int_tuple, det_exact, hnf_mod, kernel_echelon
 
 
-class AffineLatticeRep(NamedTuple):
+class AffineLatticeRep(namedtuple("AffineLatticeRep", "particular kernel_basis")):
     """A particular integer solution plus a basis of the kernel lattice."""
 
-    particular: tuple[int, ...]
-    kernel_basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def gcd_max_minors(mat: IntMat) -> int:

@@ -15,22 +15,17 @@ which case nonnegativity could not have been missed).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple, Sequence
 
-from .cone import ConditionReport, deep_cone_report
+from .cone import deep_cone_report
 from .errors import DimensionMismatchError, require
 from .lattice import BasisPartition, kernel_coset, lift, partition
 from .linalg import IntMat, _adj_mul, _int_tuple, kernel_echelon
 
 
-class _InstanceFields(NamedTuple):
-    a: IntMat
-    b: tuple[int, ...]
-    basis_cols: tuple[int, ...] | None = None
-
-
-class ProblemInstance(_InstanceFields):
+class ProblemInstance(namedtuple("ProblemInstance", "a b basis_cols", defaults=(None,))):
     """System ``a @ x = b`` with optional explicit basis column choice.
 
     ``basis_cols`` is 0-based here; instance files store it 1-based. ``b``
@@ -71,24 +66,19 @@ class SolveStatus(str, Enum):
     INFEASIBLE = "infeasible"
 
 
-class SolveOutcome(NamedTuple):
+class SolveOutcome(namedtuple("SolveOutcome", "status x report", defaults=(None, None))):
     """Classification plus witness. ``x`` is a solution for the first two
     statuses (nonnegative in the first case); ``report`` carries the deep-cone
     margins when the status is INTEGER_ONLY."""
 
-    status: SolveStatus
-    x: tuple[int, ...] | None = None
-    report: ConditionReport | None = None
+    __slots__ = ()
 
 
-class Conditions(NamedTuple):
+class Conditions(namedtuple("Conditions", "partition gcd report adj_b")):
     """What the command line reports beside an outcome: the basis partition,
     the gcd of the maximal minors of A, the deep-cone report for b and adj(B) b."""
 
-    partition: BasisPartition
-    gcd: int
-    report: ConditionReport
-    adj_b: tuple[int, ...]
+    __slots__ = ()
 
 
 def basis_partition(inst: ProblemInstance) -> BasisPartition:

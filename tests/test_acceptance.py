@@ -383,7 +383,7 @@ def test_criterion_7_shifted_cone_implication(capsys):
         # clearing every squared facet threshold can be read off directly
         det, adj_n, _ = adj_products(b_mat, n_mat, (0, 0))
         probe = shifted_cone_report(det, adj_n, b_mat, n_mat, (0, 0))
-        k = max(_ceil_sqrt(f.rhs_squared) for f in probe.facets) + rng.randint(0, 3)
+        k = max(_ceil_sqrt(Fraction(*f.rhs_squared)) for f in probe.facets) + rng.randint(0, 3)
         b = b_mat.mul_vec((k, k))
         rep = shifted_cone_report(det, adj_n, b_mat, n_mat, adj_products(b_mat, n_mat, b)[2])
         assert rep is not None and rep.holds, ([list(r) for r in a_mat], b)

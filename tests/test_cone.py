@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -49,15 +48,15 @@ def test_deep_cone_worked_example():
     n_mat = IntMat([[1], [1]])
     rep = deep_cone_condition(b_mat, n_mat, 3, (3, 3))
     assert rep.holds
-    assert rep.threshold_squared == 8
+    assert rep.threshold_squared == (8, 1)
     for f in rep.facets:
-        assert f.lhs_squared == 1
-        assert f.rhs_squared == Fraction(8, 9)
+        assert f.lhs_squared == (1, 1)
+        assert f.rhs_squared == (8, 9)
         assert f.lhs_nonnegative and f.satisfied
 
     rep = deep_cone_condition(b_mat, n_mat, 3, (2, 3))
     assert not rep.holds
-    assert rep.facets[0].lhs_squared == Fraction(4, 9)
+    assert rep.facets[0].lhs_squared == (4, 9)
     assert not rep.facets[0].satisfied
     assert rep.facets[1].satisfied
 
@@ -71,7 +70,7 @@ def test_deep_cone_unit_ratio_is_membership():
         n_mat = IntMat([[rng.randint(-9, 9)] for _ in range(m)])
         point = tuple(rng.randint(-20, 20) for _ in range(m))
         rep = deep_cone_condition(b_mat, n_mat, abs(det_exact(b_mat)), point)
-        assert rep.threshold_squared == 0
+        assert rep.threshold_squared == (0, 1)
         assert rep.holds == in_cone(b_mat, point)
 
 
@@ -83,7 +82,7 @@ def test_deep_cone_without_n_columns_is_membership():
         b_mat = _random_nonsingular(rng, m)
         point = tuple(rng.randint(-20, 20) for _ in range(m))
         rep = deep_cone_condition(b_mat, b_mat.select_cols([]), 1, point)
-        assert rep.threshold_squared == 0
+        assert rep.threshold_squared == (0, 1)
         assert rep.holds == in_cone(b_mat, point)
 
 
@@ -144,7 +143,7 @@ def test_shifted_cone_worked_example():
     n_mat = IntMat([[1], [1]])
     rep = shifted_cone_report(*_inputs(b_mat, n_mat, (7, 7)))
     assert rep is not None and rep.holds
-    assert rep.threshold_squared == Fraction(9, 2)  # s^2 = 4 * 2 * (3/4)^2
+    assert rep.threshold_squared == (9, 2)  # s^2 = 4 * 2 * (3/4)^2
     rep = shifted_cone_report(*_inputs(b_mat, n_mat, (6, 6)))
     assert rep is not None and not rep.holds
 
@@ -177,7 +176,7 @@ def test_shifted_cone_unimodular_is_membership():
         point = tuple(rng.randint(-20, 20) for _ in range(2))
         rep = shifted_cone_report(*_inputs(b_mat, n_mat, point))
         assert rep is not None
-        assert rep.threshold_squared == 0
+        assert rep.threshold_squared == (0, 1)
         assert rep.holds == in_cone(b_mat, point)
         done += 1
 

@@ -6,6 +6,7 @@ too)."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,8 +191,14 @@ def test_solve_rational_matches_gauss_jordan(data):
 
 
 def _report_tuple(rep):
-    return rep.holds, rep.threshold_squared, [
-        (f.lhs_squared, f.rhs_squared, f.lhs_nonnegative) for f in rep.facets
+    # the report's (numerator, denominator) pairs as the oracles' Fractions;
+    # a pair must already be in lowest terms with a positive denominator
+    def frac(pair):
+        assert Fraction(*pair).as_integer_ratio() == pair
+        return Fraction(*pair)
+
+    return rep.holds, frac(rep.threshold_squared), [
+        (frac(f.lhs_squared), frac(f.rhs_squared), f.lhs_nonnegative) for f in rep.facets
     ]
 
 

@@ -186,6 +186,17 @@ def test_cli_verify_positional(tmp_path):
     assert main(["verify", "-i", path]) == 3
 
 
+@pytest.mark.parametrize("entries,bad", [(["1_0", "7", "2"], 0), (["0", "2", " 0"], 2)])
+def test_cli_verify_names_the_bad_entry(tmp_path, capsys, entries, bad):
+    # a positional entry that breaks the file rule exits 3, and the message
+    # says which entry it is, counted from 0 as in "field 'x[0]'"
+    path = _write(tmp_path / "i.json", _inst_json([[5, 2, 3]], [4]))
+    assert main(["verify", "-i", path, *entries]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument entry {bad}: expected an integer")
+    assert repr(entries[bad]) in err
+
+
 def test_cli_verify_result_without_witness(tmp_path, capsys):
     # a result file with "x": null verifies nothing: {"ok": false} goes to -o
     # (or stdout) beside the note on stderr, so a stale {"ok": true} at -o

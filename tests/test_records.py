@@ -1,7 +1,8 @@
 """The package's result records are immutable named tuples, importing the
 command line pulls in neither ``dataclasses``, test-only code, the
 instance generator nor the code of the other commands, a ``diobox solve``
-process loads only the solve path, and both process entries import the
+process loads only the solve path and neither ``fractions``, ``decimal`` nor
+``typing``, and both process entries import the
 command line with the collector off and freeze what the import made before
 ``cli.main`` runs, while ``cli.main`` leaves the collector alone."""
 
@@ -9,6 +10,7 @@ import gc
 import importlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from enum import IntEnum
@@ -164,21 +166,36 @@ def test_cli_import_leaves_out_dataclasses_and_oracle():
 # the modules a single-file ``diobox solve`` of an instance with two or more
 # rows loads; a one-row instance adds ``frobenius`` for its Brauer bound
 SOLVE_PATH = {"cli", "io", "solver", "lattice", "linalg", "cone", "errors"}
+# standard library modules no solve process loads: the reports hold integer
+# pairs, not ``Fraction``s (``fractions`` pulls in ``decimal``), and the
+# records are ``collections.namedtuple`` subclasses, not ``typing.NamedTuple``
+NOT_LOADED = {"fractions", "decimal", "typing"}
+
+
+def _imports(*args, flags=()) -> tuple[subprocess.CompletedProcess, set[str]]:
+    # the process and every module that ``python -X importtime`` lists for
+    # it: -E -S -B is -I -S -B without -P, so that ``-m`` finds the package
+    # in the working directory; -B writes no bytecode, so every module is
+    # compiled from source, as in a fresh checkout
+    src = pathlib.Path(diobox.__file__).resolve().parent.parent
+    proc = diobox_process(*args, cwd=src, flags=(*flags, "-E", "-S", "-B", "-X", "importtime"))
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, names
 
 
 def _solve_imports(instance: str, flags=()) -> set[str]:
-    # the diobox modules that ``python -X importtime`` lists for one solve
-    # process: -E -S -B is -I -S -B without -P, so that ``-m`` finds the
-    # package in the working directory; -B writes no bytecode, so every
-    # module is compiled from source, as in a fresh checkout. A crash exits
-    # 1 as an integer-only solve does, so the output must be the golden one
-    src = pathlib.Path(diobox.__file__).resolve().parent.parent
-    path = src.parent / "tests" / "golden" / instance
-    proc = diobox_process("solve", "-i", str(path), "--no-timing", cwd=src,
-                          flags=(*flags, "-E", "-S", "-B", "-X", "importtime"))
+    # the diobox modules of one solve process, which loads none of
+    # NOT_LOADED. A crash exits 1 as an integer-only solve does, so the
+    # output must be the golden one
+    path = GOLDEN / instance
+    proc, names = _imports("solve", "-i", str(path), "--no-timing", flags=flags)
     assert proc.returncode in (0, 1), proc.stderr
     assert proc.stdout == path.with_suffix(".solve.out").read_text(encoding="utf-8")
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert not names & NOT_LOADED
     return {n for n in names if n == "diobox" or n.startswith("diobox.")}
 
 
@@ -193,6 +210,18 @@ def test_solve_process_loads_only_the_solve_path(flags):
 def test_one_row_solve_process_loads_frobenius():
     loaded = _solve_imports("m1_feasible.json")
     assert loaded == {"diobox", "diobox.frobenius"} | {f"diobox.{n}" for n in SOLVE_PATH}
+
+
+def test_batch_process_loads_no_fractions_or_typing(tmp_path):
+    shutil.copy(GOLDEN / "m3_feasible.json", tmp_path)
+    proc, names = _imports("solve", "--batch", str(tmp_path), "--no-timing")
+    assert proc.returncode == 0, proc.stderr
+    summary = "1 file(s), 0 failure(s): 0 nonnegative, 1 integer_only, 0 infeasible\n"
+    assert proc.stderr.endswith(summary)
+    assert (tmp_path / "m3_feasible.result.json").read_bytes() == (
+        GOLDEN / "m3_feasible.solve.out"
+    ).read_bytes()
+    assert "diobox.batch" in names and not names & NOT_LOADED
 
 
 def _python_c(code: str) -> subprocess.CompletedProcess:
