@@ -35,13 +35,22 @@ from .errors import DimensionMismatchError, RankDeficientError, SingularError, r
 from .linalg import IntMat, _box_sweep, _int_tuple, _scaled_solve, dot, kernel_echelon
 
 
-class BasisPartition(namedtuple("BasisPartition", "basis_cols order b_mat n_mat det adj adj_n")):
-    """Basis column indices, the induced column order (basis first), the
-    corresponding blocks of A, ``det = det(b_mat)``, its adjugate ``adj``
+class BasisPartition(namedtuple("BasisPartition", "basis_cols order a det adj adj_n")):
+    """Basis column indices, the induced column order (basis first), A
+    itself, ``det = det(b_mat)``, its adjugate ``adj``
     (``b_mat @ adj == det * I``) and ``adj_n = adj @ n_mat``, an m x k block
-    with empty rows when k = 0."""
+    with empty rows when k = 0. The blocks ``b_mat`` and ``n_mat`` are read
+    off ``a`` when asked for: a solve that reads neither builds neither."""
 
     __slots__ = ()
+
+    @property
+    def b_mat(self) -> IntMat:
+        return self.a.select_cols(self.basis_cols)
+
+    @property
+    def n_mat(self) -> IntMat:
+        return self.a.select_cols(self.order[len(self.basis_cols) :])
 
 
 def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
@@ -49,9 +58,10 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
 
     ``cols`` are the (0-based) columns of B; None picks the leftmost m
     linearly independent columns; explicit columns move to the front and
-    must be the pivots. One elimination of ``[A | I]`` gives B with ``det B``,
+    must be the pivots. One elimination of ``[A | I]`` gives ``det B``,
     ``adj(B)`` and ``adj(B) N``. The other columns keep their order in N,
-    which has no columns when A is square.
+    which has no columns when A is square. The record keeps A and builds
+    neither block.
 
     Raises:
         TypeError: if an entry of ``cols`` is not an ``int`` or is a ``bool``.
@@ -82,8 +92,7 @@ def partition(a: IntMat, cols: Sequence[int] | None = None) -> BasisPartition:
             raise SingularError(f"chosen basis columns {shown} (1-based) are singular")
     k = n - m
     adj, adj_n = tuple(tuple(r[k:]) for r in x), tuple(tuple(r[:k]) for r in x)
-    b_mat, n_mat = a.select_cols(cols), a.select_cols(order[m:])
-    return BasisPartition(cols, order, b_mat, n_mat, det, adj, adj_n)
+    return BasisPartition(cols, order, a, det, adj, adj_n)
 
 
 def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
@@ -118,11 +127,13 @@ class SpecialBasis(namedtuple("SpecialBasis", "vectors")):
         return tuple(v[i] for i, v in enumerate(self.vectors))
 
 
-class KernelCoset(namedtuple("KernelCoset", "basis gcd point")):
+class KernelCoset(namedtuple("KernelCoset", "basis gcd point certificate", defaults=(None,))):
     """The projected kernel lattice L' of ``(B | N)`` as its special basis,
     the gcd of the maximal minors of ``(B | N)``, and the point of the box
     ``0 <= w_i < v_i[i]`` of that basis in the coset of L' that solves
-    ``(B | N) x = b``, or None when there is no integer solution."""
+    ``(B | N) x = b``, or None when there is no integer solution. Then
+    ``certificate`` is an integer m-vector y with ``y adj(B) N = 0`` and
+    ``y adj(B) b != 0 (mod |det B|)``, which proves it; otherwise it is None."""
 
     __slots__ = ()
 
@@ -136,13 +147,29 @@ def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int])
     echelon's lattice exactly when ``adj_n z = adj_b (mod D)``, and the box
     holds one point per coset; so a nonzero t part means no integer
     solution, and otherwise the z part is the box point of the coset.
+
+    The t parts T of the last m echelon vectors are a lower-triangular
+    basis of ``M = adj_n Z^k + D Z^m``, so ``D T^-1`` is integral, and its
+    columns are orthogonal modulo D to all of M, ``adj_n``'s columns among
+    them. When the sweep leaves a nonzero t part r, with last nonzero entry
+    ``r_i < T[i][i]``, column i of ``D T^-1`` has product
+    ``(D / T[i][i]) r_i != 0 (mod D)`` with r, and so with ``adj_b``: that
+    column is the certificate (Schrijver 1986, Cor. 4.1a).
     """
     d, k = abs(det), len(adj_n[0])
     ech, gcd = kernel_echelon(det, adj_n)
     basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
     w = _box_sweep(ech, [0] * k + [-x % d for x in adj_b], d)
-    if any(w[k:]):
-        return KernelCoset(basis, gcd, None)
+    r = w[k:]
+    if any(r):
+        # T y = D e_i by forward substitution; y is 0 before coordinate i
+        tri = [v[k:] for v in ech[k:]]
+        i = max(j for j, e in enumerate(r) if e)
+        y = [0] * len(r)
+        y[i] = d // tri[i][i]
+        for j in range(i + 1, len(r)):
+            y[j] = -dot(tri[j][i:j], y[i:j]) // tri[j][j]
+        return KernelCoset(basis, gcd, None, tuple(y))
     point = tuple(w[:k])
     require(
         all((x - dot(row, point)) % d == 0 for x, row in zip(adj_b, adj_n)),

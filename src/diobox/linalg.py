@@ -219,7 +219,7 @@ def _scaled_solve(mat: IntMat) -> tuple[tuple[int, ...], int, list[list[int]]]:
     # so each division is exact; det is 0 when mat has fewer than mat.rows
     # independent columns
     n, width = mat.rows, mat.cols
-    a = [[*row, *unit] for row, unit in zip(mat, IntMat.identity(n))]
+    a = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(mat)]
     pivots, sign = _eliminate(a, width)
     if len(pivots) < n:
         return tuple(pivots), 0, []
@@ -294,9 +294,12 @@ def hnf_mod(
         piv[c] = p
         rows = rest
     # bring each entry left of a pivot into [0, pivot): v_0..v_(i-1) span
-    # every lattice vector with zeros from coordinate i on, mod * Z^i among them
-    for i in range(width):
-        piv[i][:i] = _box_sweep(piv, piv[i][:i], mod)
+    # every lattice vector with zeros from coordinate i on, mod * Z^i among
+    # them; a vector that is zero left of its pivot (its only nonzero entry
+    # is the pivot, so it holds i zeros) is already in the box
+    for i, v in enumerate(piv):
+        if v.count(0) < i:
+            v[:i] = _box_sweep(piv, v[:i], mod)
     return tuple(tuple(v) + (0,) * (width - 1 - i) for i, v in enumerate(piv))
 
 
@@ -337,7 +340,12 @@ def kernel_echelon(
     ``adj_n z = r (mod D)``.
     """
     d, k = abs(det), len(adj_n[0])
-    gens = [[int(i == j) for i in range(k)] + list(col) for j, col in enumerate(zip(*adj_n))]
+    gens = []
+    for j, col in enumerate(zip(*adj_n)):
+        g = [0] * k  # e_j, then adj_n[:, j]
+        g[j] = 1
+        g += col
+        gens.append(g)
     ech = hnf_mod(gens, k + len(adj_n), d)
     lat_det = math.prod(ech[i][i] for i in range(k))
     gcd = d // lat_det

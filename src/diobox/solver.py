@@ -22,7 +22,7 @@ from enum import Enum
 from .cone import deep_cone_report
 from .errors import DimensionMismatchError, require
 from .lattice import BasisPartition, kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, _int_tuple, kernel_echelon
+from .linalg import IntMat, _adj_mul, _int_tuple, dot, kernel_echelon
 
 
 class ProblemInstance(namedtuple("ProblemInstance", "a b basis_cols", defaults=(None,))):
@@ -98,17 +98,26 @@ def _solve(inst: ProblemInstance) -> tuple[SolveOutcome, BasisPartition, int, tu
     a = inst.a
     adj_b = _adj_mul(part.adj, inst.b)
     coset = kernel_coset(part.det, part.adj_n, adj_b)
-    gcd = coset.gcd
+    gcd, d = coset.gcd, abs(part.det)
     if coset.point is None:
+        # y' = y adj(B) has y' A = (y det B | y adj(B) N) in the partition's
+        # column order, so u = y' / det B has u A integral and u b not: no
+        # integer x solves A x = b. Checked on integers from A and b alone
+        cert = [dot(coset.certificate, col) for col in zip(*part.adj)]
+        require(
+            all(dot(cert, col) % d == 0 for col in zip(*a)) and dot(cert, inst.b) % d != 0,
+            "infeasibility certificate fails y A = 0, y b != 0 (mod |det B|)",
+            inst,
+        )
         return SolveOutcome(status=SolveStatus.INFEASIBLE), part, gcd, adj_b
     w = coset.point
-    require(all(type(e) is int for e in w), "box-reduced point is not integral", inst)
-    require(all(e >= 0 for e in w), "box-reduced point has a negative entry", inst)
+    require(set(map(type, w)) <= {int}, "box-reduced point is not integral", inst)
+    require(min(w, default=0) >= 0, "box-reduced point has a negative entry", inst)
     box = math.prod(1 + e for e in w)
-    require(box <= abs(part.det) // gcd, "box-reduced point outside the box", inst)
+    require(box <= d // gcd, "box-reduced point outside the box", inst)
     x = lift(part, adj_b, w)
     require(a.mul_vec(x) == inst.b, "witness fails A x = b", inst)
-    if all(e >= 0 for e in x):
+    if min(x) >= 0:
         return SolveOutcome(status=SolveStatus.NONNEGATIVE, x=x), part, gcd, adj_b
     report = deep_cone_report(part.det, part.adj, part.n_mat, gcd, adj_b)
     require(not report.holds, "deep-cone test holds for a witness not nonnegative", inst)

@@ -31,13 +31,14 @@ from diobox import (
     solve_rational,
     special_basis,
 )
-from diobox import linalg
+from diobox import linalg, solver
 from diobox.cone import deep_cone_report
 from diobox.errors import InternalError
 from diobox.gen import push_into_deep_cone
 from diobox.lattice import kernel_coset, lift
 from diobox.linalg import _adj_mul, dot, hnf_mod, kernel_echelon
 from diobox.solver import conditions
+from brute_force import brute_force_solve
 from oracles import (
     deep_cone_reference,
     det_cofactor,
@@ -586,7 +587,8 @@ def test_kernel_coset_matches_z0_search(case):
     # one sweep of (0 ; -adj_b) along the whole echelon against the route it
     # replaced: the search for z0 in [0, D) along the last m echelon vectors,
     # then the triangular sweep of z0 along L'. Both give the same basis and
-    # gcd, say infeasible together, and give the same box point
+    # gcd, say infeasible together, and give the same box point (the old
+    # route builds no infeasibility certificate)
     rows, cols, b = case
     mat = IntMat(rows)
     try:
@@ -595,7 +597,8 @@ def test_kernel_coset_matches_z0_search(case):
         return
     adj_b = _adj_mul(part.adj, b)
     coset = kernel_coset(part.det, part.adj_n, adj_b)
-    assert coset == kernel_coset_z0(part.det, part.adj, part.n_mat, adj_b)
+    old = kernel_coset_z0(part.det, part.adj, part.n_mat, adj_b)
+    assert (coset.basis, coset.gcd, coset.point) == (old.basis, old.gcd, old.point)
     assert (coset.point is None) == (not integer_feasible_minor_test(rows, b))
 
 
@@ -671,3 +674,108 @@ def test_one_gcd_source(inst):
             gcd_max_minors(inst.a)
         return
     assert want == conditions(inst).gcd == gcd_max_minors(inst.a)
+
+
+@SETTINGS
+@given(partitioned())
+def test_partition_blocks_are_read_off_a(case):
+    # the record keeps A; B and N are its basis columns and the rest, in order
+    rows, cols, _ = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    m = mat.rows
+    assert part.a is mat
+    assert part.b_mat == mat.select_cols(part.basis_cols)
+    assert part.n_mat == mat.select_cols(part.order[m:])
+    assert part._fields == ("basis_cols", "order", "a", "det", "adj", "adj_n")
+
+
+def _certifies(rows, b, part, y) -> bool:
+    # u = y adj(B) / det B, checked in Fractions from A and b alone: u A is
+    # integral and u b is not, so no integer x solves A x = b
+    u = [Fraction(dot(y, col), part.det) for col in zip(*part.adj)]
+    return all(dot(u, col).denominator == 1 for col in zip(*rows)) and dot(u, b).denominator > 1
+
+
+@SETTINGS
+@given(coset_cases())
+@hypothesis.example(([[2, 1], [1, 3]], None, (3, 5)))  # square A, infeasible
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], None, (3, 5)))  # infeasible
+@hypothesis.example(([[4, -2, -3], [2, 0, 0]], None, (-3, 7)))  # infeasible, last t entry 0
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], (2, 3), (3, 5)))  # explicit, infeasible
+def test_every_infeasible_outcome_carries_a_certificate(case):
+    # kernel_coset gives a certificate exactly when the minor test says
+    # infeasible, and each one verifies; solve says infeasible exactly then
+    rows, cols, b = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
+    feasible = integer_feasible_minor_test(rows, b)
+    assert (coset.certificate is None) == feasible == (coset.point is not None)
+    if not feasible:
+        assert len(coset.certificate) == mat.rows
+        assert _certifies(rows, b, part, coset.certificate)
+    if mat.rows < mat.cols:
+        out = solve(ProblemInstance(a=mat, b=b, basis_cols=cols))
+        assert (out.status == SolveStatus.INFEASIBLE) == (not feasible)
+
+
+def test_certificates_agree_with_brute_force():
+    # on small nonnegative systems, where brute force decides nonnegative
+    # feasibility: a certified instance has no solution to find, and an
+    # instance with a found solution gets no certificate
+    rng = random.Random(41)
+    certified = found = 0
+    for _ in range(300):
+        m = rng.choice([1, 2])
+        n = rng.randint(m + 1, 4)
+        g = rng.choice([1, 2, 3])  # a common row factor makes infeasible b common
+        rows = [[g * rng.randint(1, 6) for _ in range(n)]] + [
+            [rng.randint(1, 6) for _ in range(n)] for _ in range(m - 1)
+        ]
+        b = tuple(rng.randint(0, 25) for _ in range(m))
+        mat = IntMat(rows)
+        try:
+            part = partition(mat)
+        except RankDeficientError:
+            continue
+        coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
+        res = brute_force_solve(mat, b)
+        assert res.conclusive or res.status == "found"
+        if coset.certificate is not None:
+            certified += 1
+            assert res.status != "found" and _certifies(rows, b, part, coset.certificate)
+        if res.status == "found":
+            found += 1
+            assert coset.certificate is None
+    assert certified > 50 and found > 50
+
+
+@pytest.mark.parametrize(
+    "rows,b,corrupt",
+    [
+        ([[2, 4]], (3,), lambda y, d: (0,) * len(y)),
+        ([[6, 5, 3, 1], [6, 5, 1, -3]], (-2, -3), lambda y, d: (0,) * len(y)),
+        ([[6, 5, 3, 1], [6, 5, 1, -3]], (-2, -3), lambda y, d: tuple(d * e for e in y)),
+        ([[5, 2, 3]], (4,), lambda y, d: (1,)),  # feasible, wrongly called infeasible
+        ([[0, 3, 1, -1], [3, -1, -2, -1]], (4, 4), lambda y, d: (1, 0)),
+        ([[0, 3, 1, -1], [3, -1, -2, -1]], (4, 4), lambda y, d: (0, 1)),
+    ],
+)
+def test_corrupt_certificate_raises(rows, b, corrupt, monkeypatch):
+    # kernel_coset is replaced by one that says infeasible with a corrupted
+    # certificate; solve's require, on A and b alone, refuses it
+    def bad_coset(det, adj_n, adj_b):
+        coset = kernel_coset(det, adj_n, adj_b)
+        y = coset.certificate or (0,) * len(adj_b)
+        return coset._replace(point=None, certificate=corrupt(y, abs(det)))
+
+    monkeypatch.setattr(solver, "kernel_coset", bad_coset)
+    with pytest.raises(InternalError, match="infeasibility certificate"):
+        solve(ProblemInstance(a=IntMat(rows), b=b))

@@ -28,7 +28,7 @@ import pytest
 
 from diobox import lattice, linalg
 from diobox.cli import main
-from conftest import OPTIMIZED, SRC, diobox_process
+from conftest import OPTIMIZED, SRC, diobox_process, profiled_calls
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -86,18 +86,7 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
         linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition,
         lattice.box_reduce,
     )
-    codes = [f.__code__ for f in funcs]
-    counts = [0] * len(codes)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes.index(frame.f_code)] += 1
-
-    sys.setprofile(profile)
-    try:
-        run(args)
-    finally:
-        sys.setprofile(None)
+    counts = profiled_calls(funcs, lambda: run(args))
     key = f"gen {args[args.index('--mode') + 1]}" if args[0] == "gen" else args[0]
     assert counts == list(CALLS[key])
 

@@ -26,6 +26,7 @@ from diobox.gen import generate_instance
 
 import oracles
 from brute_force import brute_force_solve
+from conftest import profiled_calls
 
 
 class Small(IntEnum):
@@ -344,3 +345,25 @@ def test_hnf_runs_per_cli_solve(rows, b, status, ref_calls, hnf_calls, tmp_path,
     x = None if result["x"] is None else [int(e) for e in result["x"]]
     assert _reference_free_part(inst) == _free_part(inst, x)
     assert len(hnf_calls) == ref_calls
+
+
+@pytest.mark.parametrize(
+    "rows,b,status,selects",
+    [
+        ([[5, 2, 3]], (4,), SolveStatus.NONNEGATIVE, 0),
+        ([[0, 3, 1, -1], [3, -1, -2, -1]], (4, 4), SolveStatus.NONNEGATIVE, 0),
+        ([[5, 2, 3]], (1,), SolveStatus.INTEGER_ONLY, 1),
+        ([[6, 1, 2, 5], [-3, 4, 0, -3]], (9, -3), SolveStatus.INTEGER_ONLY, 1),
+        ([[2, 4]], (3,), SolveStatus.INFEASIBLE, 0),
+        ([[6, 5, 3, 1], [6, 5, 1, -3]], (-2, -3), SolveStatus.INFEASIBLE, 0),
+    ],
+)
+def test_solve_builds_only_the_blocks_it_reads(rows, b, status, selects):
+    # the partition keeps A: no solve builds B, only the deep-cone report
+    # of an integer-only solve reads N, and [A | I] is written without an
+    # identity matrix
+    inst = ProblemInstance(a=IntMat(rows), b=b)
+    out = []
+    funcs = (IntMat.select_cols, IntMat.identity.__func__)
+    assert profiled_calls(funcs, lambda: out.append(solve(inst))) == [selects, 0]
+    assert out[0].status == status
