@@ -33,35 +33,7 @@ _EXIT = {
 }
 
 
-def _terminal_columns() -> int:
-    # the column count shutil.get_terminal_size() gives: COLUMNS, else the
-    # terminal of stdout, else 80
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
-
-
-class _Formatter(argparse.HelpFormatter):
-    # argparse's default width, found without the import of shutil (and
-    # fnmatch, zlib, bz2 and lzma with it) that HelpFormatter makes for it
-    # each time add_argument builds one
-    def __init__(self, prog, **kwargs):
-        kwargs.setdefault("width", _terminal_columns() - 2)
-        super().__init__(prog, **kwargs)
-
-
 class _Parser(argparse.ArgumentParser):
-    # every parser, each command's among them, formats with _Formatter
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
     # bad command lines are input errors: exit 3, not argparse's default 2,
     # which is reserved for "integer infeasible"
     def error(self, message):

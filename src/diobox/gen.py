@@ -26,18 +26,18 @@ def push_into_deep_cone(part: BasisPartition, b: tuple[int, ...]) -> tuple[int, 
     g the gcd), facet i needs ``g (p_i + k_i D) >= r_i`` with ``r_i`` the
     ceiling of ``sqrt(l_N^2 (D - g)^2 ||adj_i||^2)``.
     """
-    det, adj = part.det, part.adj
+    det, adj, b_mat, n_mat = part.det, part.adj, part.b_mat, part.n_mat
     gcd_a = kernel_echelon(det, part.adj_n)[1]
-    _, norms = _deep_thresholds(det, adj, part.n_mat, gcd_a)
+    _, norms = _deep_thresholds(det, adj, n_mat, gcd_a)
     shift = []
     for p, v in zip(cone_coords(det, _adj_mul(adj, b)), norms):
         r = math.isqrt(v - 1) + 1 if v else 0  # ceil(sqrt(v))
         shift.append(max(0, -((gcd_a * p - r) // (gcd_a * abs(det)))))
-    out = tuple(e + dot(row, shift) for e, row in zip(b, part.b_mat))
+    out = tuple(e + dot(row, shift) for e, row in zip(b, b_mat))
     require(
-        deep_cone_report(det, adj, part.n_mat, gcd_a, _adj_mul(adj, out)).holds,
+        deep_cone_report(det, adj, n_mat, gcd_a, _adj_mul(adj, out)).holds,
         "deep-cone push: the shifted right-hand side fails the test",
-        (part.b_mat, part.n_mat, b),
+        (b_mat, n_mat, b),
     )
     return out
 

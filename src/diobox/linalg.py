@@ -340,12 +340,7 @@ def kernel_echelon(
     ``adj_n z = r (mod D)``.
     """
     d, k = abs(det), len(adj_n[0])
-    gens = []
-    for j, col in enumerate(zip(*adj_n)):
-        g = [0] * k  # e_j, then adj_n[:, j]
-        g[j] = 1
-        g += col
-        gens.append(g)
+    gens = [[*[0] * j, 1, *[0] * (k - 1 - j), *col] for j, col in enumerate(zip(*adj_n))]
     ech = hnf_mod(gens, k + len(adj_n), d)
     lat_det = math.prod(ech[i][i] for i in range(k))
     gcd = d // lat_det

@@ -162,25 +162,6 @@ def test_cli_bad_usage_is_input_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("columns", ["60", "120"])
-@pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]], ids=["diobox", "solve"])
-def test_cli_help_matches_the_default_formatter(argv, columns, monkeypatch, capsys):
-    # the parsers' formatter finds its width without shutil and wraps help
-    # exactly as argparse's default HelpFormatter does
-    import argparse
-
-    from diobox.cli import build_parser
-
-    monkeypatch.setenv("COLUMNS", columns)
-    assert main(argv) == 0
-    got = capsys.readouterr().out
-    parser = build_parser()
-    shown = parser._subparsers._group_actions[0].choices[argv[0]] if len(argv) > 1 else parser
-    shown.formatter_class = argparse.HelpFormatter
-    assert got == shown.format_help()
-    assert max(map(len, got.splitlines())) <= int(columns) - 2
-
-
 def test_cli_gen_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -167,10 +167,9 @@ def test_cli_import_leaves_out_dataclasses_and_oracle():
 # rows loads; a one-row instance adds ``frobenius`` for its Brauer bound
 SOLVE_PATH = {"cli", "io", "solver", "lattice", "linalg", "cone", "errors"}
 # standard library modules no solve process loads: the reports hold integer
-# pairs, not ``Fraction``s (``fractions`` pulls in ``decimal``), the records
-# are ``collections.namedtuple`` subclasses, not ``typing.NamedTuple``, and
-# the parser's help formatter finds its width without ``shutil``
-NOT_LOADED = {"fractions", "decimal", "typing", "shutil"}
+# pairs, not ``Fraction``s (``fractions`` pulls in ``decimal``), and the
+# records are ``collections.namedtuple`` subclasses, not ``typing.NamedTuple``
+NOT_LOADED = {"fractions", "decimal", "typing"}
 
 
 def _imports(*args, flags=()) -> tuple[subprocess.CompletedProcess, set[str]]:
