@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _HOME = {
     "AffineLatticeRep": "reference",
     "BasisPartition": "lattice",
-    "BoxReduction": "lattice",
+    "BoxReduction": "reference",
     "CapExceededError": "errors",
     "ConditionReport": "cone",
     "DimensionMismatchError": "errors",
@@ -34,11 +34,11 @@ _HOME = {
     "SingularError": "errors",
     "SolveOutcome": "solver",
     "SolveStatus": "solver",
-    "SpecialBasis": "lattice",
+    "SpecialBasis": "reference",
     "WrongRowCountError": "errors",
     "aliev_henk_p": "commands",
     "aliev_henk_t_bound": "commands",
-    "box_reduce": "lattice",
+    "box_reduce": "reference",
     "brauer_G": "frobenius",
     "basis_partition": "solver",
     "deep_cone_condition": "reference",

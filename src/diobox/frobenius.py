@@ -48,7 +48,7 @@ def brauer_G(entries: Sequence[int]) -> int:
         GcdNotOneError: if the entries are not coprime.
     """
     a = _check_entries(entries)
-    chain = f_chain(a)
+    chain = tuple(accumulate(a, math.gcd))
     if chain[-1] != 1:
         raise GcdNotOneError(f"entries have gcd {chain[-1]}")
     total = sum(a[i] * (chain[i - 1] // chain[i]) for i in range(1, len(a)))

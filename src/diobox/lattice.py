@@ -1,4 +1,4 @@
-"""Integer solution sets of linear systems and lattice box reduction.
+"""Integer solution sets of linear systems: partition, coset and lift.
 
 The integer solutions of ``A x = b`` (A integer, full row rank m, n columns)
 form either the empty set or an affine lattice ``r + L`` where L is the rank
@@ -11,23 +11,21 @@ solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
 ``kernel_coset`` builds both modulo D from ``adj(B) N`` and ``adj(B) b``
 through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
 unique lower-triangular basis with positive diagonal and reduced
-subdiagonal entries. Its Gram-Schmidt vectors are its diagonal entries
-times the unit vectors, so the box they span is the integer box
-``0 <= w_i < v_i[i]``, and reducing a point of the coset into that box is
-the core step of the solver. ``kernel_coset`` does it in the sweep that
-decides feasibility, one floor quotient per coordinate, and returns the
-box point itself; ``box_reduce`` runs the same sweep on any such basis for
-the benchmark's traced replay and the tests, and takes no other kind.
+subdiagonal entries, the z parts of the first k echelon vectors. Its
+Gram-Schmidt vectors are its diagonal entries times the unit vectors, so
+the box they span is the integer box ``0 <= w_i < v_i[i]``, and reducing
+a point of the coset into that box is the core step of the solver.
+``kernel_coset`` does it in the sweep that decides feasibility, one floor
+quotient per coordinate, and returns the box point and the echelon.
 ``lift`` carries a point w of the coset back to a solution
 from the same products, ``(adj(B) b - adj(B) N w) / det B``. The
 reference routines built on these, ``integer_solution_set`` (which lifts
-the coset point and the basis of L' that way) and ``special_basis``, live
-in ``diobox.reference``, which the solve path never loads.
+the coset point and the basis of L' that way), ``special_basis`` and
+``box_reduce``, live in ``diobox.reference``, which a solve never loads.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -115,25 +113,14 @@ def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
     return tuple(x)
 
 
-class SpecialBasis(namedtuple("SpecialBasis", "vectors")):
-    """Lower-triangular lattice basis: vectors[i][i] > 0, zeros above the
-    diagonal, and 0 <= vectors[i][j] < vectors[j][j] for j < i. This basis is
-    unique for a given full-rank lattice."""
-
-    __slots__ = ()
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(v[i] for i, v in enumerate(self.vectors))
-
-
-class KernelCoset(namedtuple("KernelCoset", "basis gcd point certificate", defaults=(None,))):
-    """The projected kernel lattice L' of ``(B | N)`` as its special basis,
-    the gcd of the maximal minors of ``(B | N)``, and the point of the box
-    ``0 <= w_i < v_i[i]`` of that basis in the coset of L' that solves
-    ``(B | N) x = b``, or None when there is no integer solution. Then
-    ``certificate`` is an integer m-vector y with ``y adj(B) N = 0`` and
-    ``y adj(B) b != 0 (mod |det B|)``, which proves it; otherwise it is None."""
+class KernelCoset(namedtuple("KernelCoset", "echelon gcd point certificate", defaults=(None,))):
+    """The ``kernel_echelon`` basis, whose first k vectors cut to their z
+    part are the special basis of L'; the gcd of the maximal minors of
+    ``(B | N)``; and the point of the box ``0 <= w_i < v_i[i]`` of that
+    basis in the coset of L' that solves ``(B | N) x = b``, or None when
+    there is no integer solution. Then ``certificate`` is an integer
+    m-vector y with ``y adj(B) N = 0`` and ``y adj(B) b != 0 (mod |det B|)``,
+    which proves it; otherwise it is None."""
 
     __slots__ = ()
 
@@ -158,7 +145,6 @@ def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int])
     """
     d, k = abs(det), len(adj_n[0])
     ech, gcd = kernel_echelon(det, adj_n)
-    basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
     w = _box_sweep(ech, [0] * k + [-x % d for x in adj_b], d)
     r = w[k:]
     if any(r):
@@ -169,56 +155,11 @@ def kernel_coset(det: int, adj_n: Sequence[Sequence[int]], adj_b: Sequence[int])
         y[i] = d // tri[i][i]
         for j in range(i + 1, len(r)):
             y[j] = -dot(tri[j][i:j], y[i:j]) // tri[j][j]
-        return KernelCoset(basis, gcd, None, tuple(y))
+        return KernelCoset(ech, gcd, None, tuple(y))
     point = tuple(w[:k])
     require(
         all((x - dot(row, point)) % d == 0 for x, row in zip(adj_b, adj_n)),
         "coset point fails adj(B) N z = adj(B) b (mod |det B|)",
         (det, adj_n, adj_b),
     )
-    return KernelCoset(basis, gcd, point)
-
-
-class BoxReduction(namedtuple("BoxReduction", "w")):
-    """The representative w of the coset ``point + L`` in the box
-    ``0 <= w[i] < v_i[i]`` of a lower-triangular basis."""
-
-    __slots__ = ()
-
-
-def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxReduction:
-    """Reduce ``point`` modulo the lattice of a lower-triangular basis into
-    the box ``0 <= w[i] < v_i[i]``.
-
-    Basis vector i must have ``v_i[i] > 0`` and zeros after coordinate i,
-    the shape of every basis ``kernel_coset`` and ``special_basis`` build.
-    Its Gram-Schmidt vector is then ``v_i[i] e_i``, so this box is the
-    half-open Gram-Schmidt box, and the reduction is ``kernel_coset``'s
-    integer sweep: from the last coordinate to the first, subtract
-    ``q = cur[i] // v_i[i]`` copies of v_i, modulo the product of the
-    diagonal, whose multiples of ``Z^d`` the lattice contains. The result
-    depends only on the coset ``point + L``, never on the representative.
-
-    Raises:
-        TypeError: if an entry of the point or of a basis vector is not an
-            ``int`` or is a ``bool``.
-        DimensionMismatchError: if the basis is empty or not square, a basis
-            vector is not lower triangular with a positive diagonal entry, or
-            the point has the wrong length.
-    """
-    vecs = [_int_tuple(v, f"basis vector {i} entry {{}}") for i, v in enumerate(vectors)]
-    d = len(vecs)
-    if not d:
-        raise DimensionMismatchError("need at least one vector")
-    for i, v in enumerate(vecs):
-        if len(v) != d:
-            raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
-        if v[i] <= 0 or any(v[i + 1 :]):
-            raise DimensionMismatchError(
-                f"basis vector {i} needs a positive entry {i} and zeros after it"
-            )
-    cur = _int_tuple(point, "point entry {}")
-    if len(cur) != d:
-        raise DimensionMismatchError(f"point has length {len(cur)}, expected {d}")
-    det = math.prod(v[i] for i, v in enumerate(vecs))
-    return BoxReduction(tuple(_box_sweep(vecs, cur, det)))
+    return KernelCoset(ech, gcd, point)

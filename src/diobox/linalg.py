@@ -11,10 +11,10 @@ This module builds no ``fractions.Fraction`` (the rational solve
 point and no tolerance in it; equality means equality.
 The rule for an entry from outside data, an ``int`` and not a ``bool``, is
 written once, in ``_int_tuple``: ``IntMat``, ``ProblemInstance``,
-``partition``, ``box_reduce``, ``verify`` and the reference routines
-``integer_solution_set``, ``solve_rational`` and ``deep_cone_condition``
-read their integer arguments through it. Matrix entries are checked once, when an ``IntMat``
-is built from outside data; ``identity`` and the matrices derived from one
+``partition``, ``verify`` and the reference routines ``integer_solution_set``,
+``box_reduce``, ``solve_rational`` and ``deep_cone_condition`` read their
+integer arguments through it. Matrix entries are checked once, when an
+``IntMat`` is built from outside data; the matrices derived from one
 (``select_cols``, ``transpose``, products) hold entries already known to be
 ints and are not checked again.
 """
@@ -116,10 +116,6 @@ class IntMat:
         mat = object.__new__(cls)
         mat._data, mat.rows, mat.cols = data, len(data), len(data[0])
         return mat
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMat":
-        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._data[i]

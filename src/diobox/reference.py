@@ -4,16 +4,17 @@
 ``adj(B) N`` and ``adj(B) b`` (see ``lattice`` and ``solver``). The routines
 here answer the same questions the long way: the whole integer solution set
 as a particular solution plus a kernel basis, the projection that drops the
-basis coordinates, the special basis of any square lattice basis, the gcd
-of the maximal minors, the exact rational solve of a square system and the
-deep-cone report from the blocks B and N themselves. They stay exported
-from ``diobox`` because the benchmark's traced replay and the tests import
-them; nothing in the package imports this module, so a ``diobox`` process
-never loads it.
+basis coordinates, the special basis of any square lattice basis, the box
+reduction on a lower-triangular one, the gcd of the maximal minors, the
+exact rational solve of a square system and the deep-cone report from the
+blocks B and N themselves. They stay exported from ``diobox`` because the
+benchmark's traced replay and the tests import them; nothing in the
+package imports this module, so a ``diobox`` process never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -25,8 +26,8 @@ from .errors import (
     SingularError,
     require,
 )
-from .lattice import SpecialBasis, kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, _int_tuple, det_exact, hnf_mod, kernel_echelon
+from .lattice import kernel_coset, lift, partition
+from .linalg import IntMat, _adj_mul, _box_sweep, _int_tuple, det_exact, hnf_mod, kernel_echelon
 
 
 class AffineLatticeRep(namedtuple("AffineLatticeRep", "particular kernel_basis")):
@@ -53,10 +54,11 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
 
     Returns None when the system has no integer solution, otherwise a
     particular solution together with ``n - m`` kernel basis vectors: the
-    ``kernel_coset`` point and basis of L' for the leftmost nonsingular
-    column block B, carried back through ``adj(B)`` by ``lift``. The point
-    lies in the box of that basis, so the particular solution is the ``x``
-    that ``solve`` returns when B is its basis.
+    ``kernel_coset`` point and basis of L' (the z parts of its first
+    ``n - m`` echelon vectors) for the leftmost nonsingular column block B,
+    carried back through ``adj(B)`` by ``lift``. The point lies in the box
+    of that basis, so the particular solution is the ``x`` that ``solve``
+    returns when B is its basis.
 
     Raises:
         TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.
@@ -71,7 +73,8 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     coset = kernel_coset(part.det, part.adj_n, adj_b)
     if coset.point is None:
         return None
-    kernel = tuple(lift(part, (0,) * mat.rows, z) for z in coset.basis.vectors)
+    k = mat.cols - mat.rows
+    kernel = tuple(lift(part, (0,) * mat.rows, v[:k]) for v in coset.echelon[:k])
     x = lift(part, adj_b, coset.point)
     require(mat.mul_vec(x) == rhs, "particular solution fails mat @ x = rhs", (mat, rhs))
     return AffineLatticeRep(x, kernel)
@@ -85,6 +88,18 @@ def project_drop_m(vectors: Sequence[Sequence[int]], m: int) -> tuple[tuple[int,
             raise DimensionMismatchError(f"vector {i} has length {len(v)}, need > {m}")
         out.append(tuple(v[m:]))
     return tuple(out)
+
+
+class SpecialBasis(namedtuple("SpecialBasis", "vectors")):
+    """Lower-triangular lattice basis: vectors[i][i] > 0, zeros above the
+    diagonal, and 0 <= vectors[i][j] < vectors[j][j] for j < i. This basis is
+    unique for a given full-rank lattice."""
+
+    __slots__ = ()
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(v[i] for i, v in enumerate(self.vectors))
 
 
 def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
@@ -107,6 +122,51 @@ def special_basis(vectors: Sequence[Sequence[int]]) -> SpecialBasis:
     if not det:
         raise SingularError("basis vectors are linearly dependent")
     return SpecialBasis(hnf_mod(vecs, d, abs(det)))
+
+
+class BoxReduction(namedtuple("BoxReduction", "w")):
+    """The representative w of the coset ``point + L`` in the box
+    ``0 <= w[i] < v_i[i]`` of a lower-triangular basis."""
+
+    __slots__ = ()
+
+
+def box_reduce(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> BoxReduction:
+    """Reduce ``point`` modulo the lattice of a lower-triangular basis into
+    the box ``0 <= w[i] < v_i[i]``.
+
+    Basis vector i must have ``v_i[i] > 0`` and zeros after coordinate i,
+    the shape of every basis ``special_basis`` and ``kernel_echelon`` build.
+    Its Gram-Schmidt vector is then ``v_i[i] e_i``, so this box is the
+    half-open Gram-Schmidt box, and the reduction is ``kernel_coset``'s
+    integer sweep: from the last coordinate to the first, subtract
+    ``q = cur[i] // v_i[i]`` copies of v_i, modulo the product of the
+    diagonal, whose multiples of ``Z^d`` the lattice contains. The result
+    depends only on the coset ``point + L``, never on the representative.
+
+    Raises:
+        TypeError: if an entry of the point or of a basis vector is not an
+            ``int`` or is a ``bool``.
+        DimensionMismatchError: if the basis is empty or not square, a basis
+            vector is not lower triangular with a positive diagonal entry, or
+            the point has the wrong length.
+    """
+    vecs = [_int_tuple(v, f"basis vector {i} entry {{}}") for i, v in enumerate(vectors)]
+    d = len(vecs)
+    if not d:
+        raise DimensionMismatchError("need at least one vector")
+    for i, v in enumerate(vecs):
+        if len(v) != d:
+            raise DimensionMismatchError(f"basis vector {i} has length {len(v)}, expected {d}")
+        if v[i] <= 0 or any(v[i + 1 :]):
+            raise DimensionMismatchError(
+                f"basis vector {i} needs a positive entry {i} and zeros after it"
+            )
+    cur = _int_tuple(point, "point entry {}")
+    if len(cur) != d:
+        raise DimensionMismatchError(f"point has length {len(cur)}, expected {d}")
+    det = math.prod(v[i] for i, v in enumerate(vecs))
+    return BoxReduction(tuple(_box_sweep(vecs, cur, det)))
 
 
 def solve_rational(mat: IntMat, rhs: Sequence[int]) -> tuple[Fraction, ...]:

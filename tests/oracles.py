@@ -26,9 +26,9 @@ from diobox.errors import (
     SingularError,
     require,
 )
-from diobox.lattice import BasisPartition, KernelCoset, SpecialBasis
+from diobox.lattice import BasisPartition, KernelCoset
 from diobox.linalg import IntMat, dot, hnf_mod, xgcd
-from diobox.reference import AffineLatticeRep
+from diobox.reference import AffineLatticeRep, SpecialBasis
 
 
 def det_cofactor(rows):
@@ -408,6 +408,17 @@ def lift_residual(part: BasisPartition, rhs, w) -> tuple[int, ...]:
     return tuple(x)
 
 
+def identity(n: int) -> IntMat:
+    """The n x n identity matrix."""
+    return IntMat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def coset_basis(echelon, k: int) -> tuple[tuple[int, ...], ...]:
+    """The special basis of L' that a ``KernelCoset.echelon`` holds: the z
+    parts of its first k vectors, k the number of columns of N."""
+    return tuple(v[:k] for v in echelon[:k])
+
+
 def kernel_coset_z0(det: int, adj, n_mat: IntMat, adj_b) -> KernelCoset:
     """The solution coset by the route the package ran before one sweep of
     the whole echelon gave the box point: reduce ``(0 ; adj_b mod D)`` along
@@ -417,13 +428,12 @@ def kernel_coset_z0(det: int, adj, n_mat: IntMat, adj_b) -> KernelCoset:
     ``triangular_sweep`` moves z0 into the box of L'."""
     d, k = abs(det), n_mat.cols
     ech, gcd = kernel_echelon_product(det, adj, n_mat)
-    basis = SpecialBasis(tuple(v[:k] for v in ech[:k]))
     cur = [0] * k + [x % d for x in adj_b]
     for c in reversed(range(k, len(cur))):
         v = ech[c]
         q, r = divmod(cur[c], v[c])
         if r:
-            return KernelCoset(basis, gcd, None)
+            return KernelCoset(ech, gcd, None)
         cur = [(x - q * y) % d for x, y in zip(cur[:c], v)] if q else cur[:c]
     z0 = tuple(-x % d for x in cur)
     n_z0 = n_mat.mul_vec(z0)
@@ -432,7 +442,7 @@ def kernel_coset_z0(det: int, adj, n_mat: IntMat, adj_b) -> KernelCoset:
         "z0 fails adj(B) N z0 = adj(B) b (mod |det B|)",
         (det, n_mat, adj_b),
     )
-    return KernelCoset(basis, gcd, triangular_sweep(basis.vectors, z0))
+    return KernelCoset(ech, gcd, triangular_sweep(coset_basis(ech, k), z0))
 
 
 def triangular_sweep(vectors: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, ...]:

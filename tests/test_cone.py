@@ -17,7 +17,7 @@ from diobox import (
     shifted_cone_report,
 )
 
-from oracles import adj_products, in_cone
+from oracles import adj_products, identity, in_cone
 
 
 def _random_nonsingular(rng, m, bound=9):
@@ -28,7 +28,7 @@ def _random_nonsingular(rng, m, bound=9):
 
 
 def test_in_cone_basics():
-    eye = IntMat.identity(2)
+    eye = identity(2)
     assert in_cone(eye, (0, 0))
     assert in_cone(eye, (3, 1))
     assert not in_cone(eye, (-1, 0))
@@ -111,11 +111,11 @@ def test_deep_cone_errors():
     with pytest.raises(SingularError):
         deep_cone_condition(IntMat([[1, 2], [2, 4]]), IntMat([[1], [1]]), 1, (1, 1))
     with pytest.raises(ValueError):
-        deep_cone_condition(IntMat.identity(2), IntMat([[1], [1]]), 0, (1, 1))
+        deep_cone_condition(identity(2), IntMat([[1], [1]]), 0, (1, 1))
     with pytest.raises(NotSquareError):
         deep_cone_condition(IntMat([[1, 0, 2], [0, 1, 3]]), IntMat([[1], [1]]), 1, (1, 1))
     with pytest.raises(DimensionMismatchError):
-        deep_cone_condition(IntMat.identity(2), IntMat([[1], [1], [1]]), 1, (1, 1))
+        deep_cone_condition(identity(2), IntMat([[1], [1], [1]]), 1, (1, 1))
     # the checks run in this order: entries of rhs, gcd, shape of B,
     # singular B, rows of N; a bad rhs entry is named, a bool included
     for rhs, kind in (((True,), "bool"), ((10.5,), "float")):

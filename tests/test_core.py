@@ -40,6 +40,7 @@ from diobox.linalg import _adj_mul, dot, hnf_mod, kernel_echelon
 from diobox.solver import conditions
 from brute_force import brute_force_solve
 from oracles import (
+    coset_basis,
     deep_cone_reference,
     det_cofactor,
     echelon_pivots,
@@ -357,8 +358,8 @@ def _routes_agree(inst, oracle_gcd=True):
     assert coset.gcd == math.prod(hnf_column(inst.a).h[i][i] for i in range(m))
     if oracle_gcd:
         assert coset.gcd == minors_gcd([list(r) for r in inst.a])
-    basis = coset.basis.vectors
-    assert math.prod(coset.basis.diagonal) * coset.gcd == d
+    basis = coset_basis(coset.echelon, inst.a.cols - m)
+    assert math.prod(v[i] for i, v in enumerate(basis)) * coset.gcd == d
     for i, v in enumerate(basis):
         assert d % v[i] == 0 and all(0 <= e < d for e in v[:i])
     if rep is None:
@@ -446,7 +447,7 @@ def test_square_system_takes_general_path(data):
     part = partition(mat)
     assert (part.n_mat.rows, part.n_mat.cols) == (m, 0)
     coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
-    assert coset.basis.vectors == () and coset.gcd == abs(det)
+    assert coset_basis(coset.echelon, 0) == () and coset.gcd == abs(det)
     want = solve_fraction(rows, b)
     if any(f.denominator != 1 for f in want):
         assert coset.point is None and integer_solution_set(mat, b) is None
@@ -490,7 +491,7 @@ def test_lift_matches_residual_lift(case):
     b = mat.mul_vec(x)
     adj_b = _adj_mul(part.adj, b)
     coset = kernel_coset(part.det, part.adj_n, adj_b)
-    basis = coset.basis.vectors
+    basis = coset_basis(coset.echelon, len(rows[0]) - len(rows))
     w = [
         p + s + sum(c * v[j] for c, v in zip(coeffs, basis))
         for j, (p, s) in enumerate(zip(coset.point, shift))
@@ -551,7 +552,8 @@ def test_box_reduce_is_the_triangular_sweep(inst, data):
     coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
     if coset.point is None:
         return
-    basis, k = coset.basis.vectors, len(coset.point)
+    k = len(coset.point)
+    basis = coset_basis(coset.echelon, k)
     w = triangular_sweep(basis, coset.point)
     assert all(0 <= e < v[i] for i, (e, v) in enumerate(zip(w, basis)))
     assert box_reduce(basis, coset.point).w == w
@@ -586,7 +588,7 @@ def coset_cases(draw):
 def test_kernel_coset_matches_z0_search(case):
     # one sweep of (0 ; -adj_b) along the whole echelon against the route it
     # replaced: the search for z0 in [0, D) along the last m echelon vectors,
-    # then the triangular sweep of z0 along L'. Both give the same basis and
+    # then the triangular sweep of z0 along L'. Both give the same echelon and
     # gcd, say infeasible together, and give the same box point (the old
     # route builds no infeasibility certificate)
     rows, cols, b = case
@@ -598,7 +600,7 @@ def test_kernel_coset_matches_z0_search(case):
     adj_b = _adj_mul(part.adj, b)
     coset = kernel_coset(part.det, part.adj_n, adj_b)
     old = kernel_coset_z0(part.det, part.adj, part.n_mat, adj_b)
-    assert (coset.basis, coset.gcd, coset.point) == (old.basis, old.gcd, old.point)
+    assert (coset.echelon, coset.gcd, coset.point) == (old.echelon, old.gcd, old.point)
     assert (coset.point is None) == (not integer_feasible_minor_test(rows, b))
 
 

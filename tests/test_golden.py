@@ -26,7 +26,7 @@ import sys
 
 import pytest
 
-from diobox import lattice, linalg
+from diobox import lattice, linalg, reference
 from diobox.cli import main
 from conftest import OPTIMIZED, SRC, diobox_process, profiled_calls
 
@@ -84,7 +84,7 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     monkeypatch.chdir(ROOT)
     funcs = (
         linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition,
-        lattice.box_reduce,
+        reference.box_reduce,
     )
     counts = profiled_calls(funcs, lambda: run(args))
     key = f"gen {args[args.index('--mode') + 1]}" if args[0] == "gen" else args[0]

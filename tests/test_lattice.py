@@ -17,10 +17,12 @@ from diobox import (
     special_basis,
     solve_rational,
 )
-from diobox.lattice import kernel_coset, partition
-from diobox.linalg import _adj_mul, dot
+from diobox import lattice
+from diobox.lattice import KernelCoset, kernel_coset, partition
+from diobox.linalg import _adj_mul, dot, kernel_echelon
 
 from oracles import (
+    coset_basis,
     gram_schmidt,
     gram_schmidt_box_reduce,
     integer_solution_set_hnf,
@@ -118,6 +120,33 @@ def test_integer_solution_set_random_consistency():
         assert len(rep.kernel_basis) == n - m
         for g in rep.kernel_basis:
             assert a.mul_vec(g) == (0,) * m
+
+
+def test_kernel_coset_returns_the_kernel_echelon():
+    # the record holds the echelon kernel_echelon builds, feasible,
+    # infeasible and square alike, and its first k z parts are the basis of
+    # L' that integer_solution_set lifts; lattice defines the solve path only
+    assert KernelCoset._fields == ("echelon", "gcd", "point", "certificate")
+    for rows, b in [
+        ([[5, 2, 3]], (1,)),
+        ([[2, 4, 6, -8], [4, 2, 8, 10]], (3, 5)),
+        ([[3, 1, 4, 1], [5, 9, 2, 6]], (7, 8)),
+        ([[2, 0], [0, 2]], (4, -2)),
+    ]:
+        a = IntMat(rows)
+        part = partition(a)
+        coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
+        assert coset.echelon == kernel_echelon(part.det, part.adj_n)[0]
+        rep = integer_solution_set(a, b)
+        assert (rep is None) == (coset.point is None)
+        if rep is not None:
+            k = a.cols - a.rows
+            assert [g[a.rows :] for g in rep.kernel_basis] == list(coset_basis(coset.echelon, k))
+    defined = {
+        name for name, obj in vars(lattice).items()
+        if getattr(obj, "__module__", None) == "diobox.lattice"
+    }
+    assert defined == {"BasisPartition", "partition", "lift", "KernelCoset", "kernel_coset"}
 
 
 def test_project_drop_m():
@@ -296,9 +325,10 @@ def test_gram_schmidt_pass_on_kernel_coset_bases():
         part = partition(a)
         b = a.mul_vec([rng.randint(0, 5) for _ in range(2 * m)])
         coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, b))
-        w = box_reduce(coset.basis.vectors, coset.point).w
-        assert w == gram_schmidt_box_reduce(coset.basis.vectors, coset.point)
-        assert w == triangular_sweep(coset.basis.vectors, coset.point)
+        basis = coset_basis(coset.echelon, m)
+        w = box_reduce(basis, coset.point).w
+        assert w == gram_schmidt_box_reduce(basis, coset.point)
+        assert w == triangular_sweep(basis, coset.point)
         assert all(type(e) is int for e in w)
 
 

@@ -68,6 +68,9 @@ ALL = [
 # and the tests
 REFERENCE = {
     "AffineLatticeRep",
+    "BoxReduction",
+    "SpecialBasis",
+    "box_reduce",
     "deep_cone_condition",
     "gcd_max_minors",
     "integer_solution_set",

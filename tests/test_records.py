@@ -41,6 +41,7 @@ def _records():
     outcome, cond = solve_with_conditions(inst)
     part = cond.partition
     coset = kernel_coset(part.det, part.adj_n, _adj_mul(part.adj, inst.b))
+    k = len(coset.point)
     return [
         inst,
         outcome,
@@ -51,7 +52,7 @@ def _records():
         integer_solution_set(inst.a, inst.b),
         special_basis([(2, 0), (1, 3)]),
         coset,
-        box_reduce(coset.basis.vectors, coset.point),
+        box_reduce([v[:k] for v in coset.echelon[:k]], coset.point),
     ]
 
 
