@@ -9,12 +9,14 @@ coordinates of B maps L bijectively onto the full-rank lattice
 ``L' = {z in Z^(n-m) : adj(B) N z = 0 (mod D)}``, D = |det B|, and the
 solutions onto the coset ``{z : adj(B) N z = adj(B) b (mod D)}`` of L'.
 ``kernel_coset`` builds both modulo D from ``adj(B) N`` and ``adj(B) b``
-through ``linalg.kernel_echelon``, so no entry it handles exceeds D. L' has a
-unique lower-triangular basis with positive diagonal and reduced
-subdiagonal entries, the z parts of the first k echelon vectors. Its
+through ``linalg.kernel_echelon``, so no entry it handles exceeds D. The z
+parts of the first k echelon vectors are a lower-triangular basis of L'
+with positive diagonal, not reduced left of the diagonal (its reduced form
+is the special basis, which ``reference.special_basis`` computes). Its
 Gram-Schmidt vectors are its diagonal entries times the unit vectors, so
-the box they span is the integer box ``0 <= w_i < v_i[i]``, and reducing
-a point of the coset into that box is the core step of the solver.
+the box they span is the integer box ``0 <= w_i < v_i[i]``, the same for
+every triangular basis of L', and reducing a point of the coset into that
+box is the core step of the solver.
 ``kernel_coset`` does it in the sweep that decides feasibility, one floor
 quotient per coordinate, and returns the box point and the echelon.
 ``lift`` carries a point w of the coset back to a solution
@@ -115,7 +117,8 @@ def lift(part: BasisPartition, adj_b, w) -> tuple[int, ...]:
 
 class KernelCoset(namedtuple("KernelCoset", "echelon gcd point certificate", defaults=(None,))):
     """The ``kernel_echelon`` basis, whose first k vectors cut to their z
-    part are the special basis of L'; the gcd of the maximal minors of
+    part are a triangular basis of L' with the special basis's diagonal but
+    not reduced left of it; the gcd of the maximal minors of
     ``(B | N)``; and the point of the box ``0 <= w_i < v_i[i]`` of that
     basis in the coset of L' that solves ``(B | N) x = b``, or None when
     there is no integer solution. Then ``certificate`` is an integer

@@ -3,9 +3,12 @@
 Everything here runs on Python's arbitrary-precision ``int``: one
 fraction-free elimination behind determinants and the basis partition,
 which finds a basis B of a wide matrix and gives ``adj(B)`` and
-``adj(B) N`` in a single pass, and the one Hermite normal form,
-``hnf_mod``, which keeps its entries reduced modulo a multiple of the
-lattice determinant.
+``adj(B) N`` in a single pass, and the one triangular basis of a lattice
+given modulo a multiple of its determinant, ``echelon_mod``, which keeps
+its entries reduced modulo that multiple. It stops short of the Hermite
+normal form: the entries left of its pivots are not reduced, since the box
+of a triangular basis depends only on its diagonal
+(``reference.hnf_mod`` reduces them).
 This module builds no ``fractions.Fraction`` (the rational solve
 ``solve_rational`` lives in ``diobox.reference``), and there is no floating
 point and no tolerance in it; equality means equality.
@@ -233,15 +236,17 @@ def _scaled_solve(mat: IntMat) -> tuple[tuple[int, ...], int, list[list[int]]]:
     return tuple(pivots), det, x
 
 
-def hnf_mod(
+def echelon_mod(
     gens: Sequence[Sequence[int]], width: int, mod: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Reduced lower-triangular basis of ``span(gens) + mod * Z^width``.
+    """A lower-triangular basis of ``span(gens) + mod * Z^width``.
 
-    Vector i of the result has a positive entry at coordinate i, zeros after
-    it, and entries in ``[0, v_j[j])`` at every coordinate j < i; that basis
-    is unique. Each pivot divides ``mod``, so every entry off the diagonal
-    lies in ``[0, mod)``.
+    Vector i of the result has a positive entry at coordinate i, which
+    divides ``mod``, zeros after it, and entries in ``[0, mod)`` before it.
+    Only the diagonal is unique: the entries left of a pivot are not reduced
+    (``reference.hnf_mod`` reduces them to the unique basis). The box
+    ``0 <= w_i < v_i[i]`` and the point of a coset in it depend only on the
+    diagonal, which is all a solve reads.
 
     The coordinates are taken from the last to the first. At coordinate c,
     ``mod * e_c`` joins the generators and extended gcds fold their entries
@@ -251,7 +256,9 @@ def hnf_mod(
     (Domich, Kannan and Trotter 1987; Cohen, Algorithm 2.4.8), so nothing
     grows past ``mod``. When the pivot already divides a generator's entry,
     that generator loses ``(entry / pivot)`` copies of the pivot vector and
-    the pivot vector is kept: no extended gcd is run.
+    the pivot vector is kept: no extended gcd is run. A generator that is
+    zero modulo ``mod`` is dropped, so every generator held is nonzero, and
+    one whose entry at c is zero passes on untouched.
 
     Raises:
         ValueError: if ``mod`` is not positive.
@@ -263,7 +270,9 @@ def hnf_mod(
     for i, g in enumerate(gens):
         if len(g) != width:
             raise DimensionMismatchError(f"generator {i} has length {len(g)}, expected {width}")
-        rows.append([e % mod for e in g])
+        g = [e % mod for e in g]
+        if any(g):
+            rows.append(g)
     piv: list[list[int]] = [[]] * width
     for c in reversed(range(width)):
         # rows have length c + 1 here; p starts as mod * e_c
@@ -271,6 +280,10 @@ def hnf_mod(
         rest = []
         for g in rows:
             b = g.pop()
+            if not b:
+                # g was nonzero, and the entry it lost was zero: it still is
+                rest.append(g)
+                continue
             q, r = divmod(b, a)
             if r:
                 h, s, t = xgcd(a, b)
@@ -281,7 +294,7 @@ def hnf_mod(
                     [(ah * y - bh * x) % mod for x, y in zip(p, g)],
                 )
                 a = h
-            elif q:
+            else:
                 # the pivot divides the entry: g <- g - q p clears it, p stays
                 g = [(y - q * x) % mod for x, y in zip(p, g)]
             if any(g):
@@ -289,13 +302,6 @@ def hnf_mod(
         p.append(a)
         piv[c] = p
         rows = rest
-    # bring each entry left of a pivot into [0, pivot): v_0..v_(i-1) span
-    # every lattice vector with zeros from coordinate i on, mod * Z^i among
-    # them; a vector that is zero left of its pivot (its only nonzero entry
-    # is the pivot, so it holds i zeros) is already in the box
-    for i, v in enumerate(piv):
-        if v.count(0) < i:
-            v[:i] = _box_sweep(piv, v[:i], mod)
     return tuple(tuple(v) + (0,) * (width - 1 - i) for i, v in enumerate(piv))
 
 
@@ -325,19 +331,23 @@ def kernel_echelon(
     ``adj_n = adj(B) N``, the m x k block that the basis partition's one
     elimination gives beside ``det B``; N has k columns, possibly none.
     Since ``B^-1 = adj(B) / det``, an integer z extends to an integer kernel
-    vector exactly when ``adj_n z = 0 (mod D)``. Returns the ``hnf_mod``
+    vector exactly when ``adj_n z = 0 (mod D)``. Returns the ``echelon_mod``
     basis of the lattice ``{(z ; t) in Z^(k+m) : t = adj_n z (mod D)}``, z
     first, built from the generators ``(e_j ; adj_n[:, j])``, and the gcd of
-    the maximal minors of ``(B | N)``. The first k basis vectors have t = 0:
-    cut to their z part, they are the reduced triangular basis of the
-    projected kernel lattice ``L' = {z : adj_n z = 0 (mod D)}``. The index of
-    L' in ``Z^k`` is ``D / gcd``, so the gcd is D over the product of their
-    diagonal entries. The last m vectors decide the congruences
-    ``adj_n z = r (mod D)``.
+    the maximal minors of ``(B | N)``. The basis is lower triangular with a
+    positive diagonal and every entry in ``[0, D)``, but it is not reduced
+    left of its pivots: the box point and every decision depend only on its
+    diagonal. The first k basis vectors have t = 0: cut to their z part,
+    they are a triangular basis of the projected kernel lattice
+    ``L' = {z : adj_n z = 0 (mod D)}``, whose reduced form, the special
+    basis, ``reference.special_basis`` gives.
+    The index of L' in ``Z^k`` is ``D / gcd``, so the gcd is D over the
+    product of their diagonal entries. The last m vectors decide the
+    congruences ``adj_n z = r (mod D)``.
     """
     d, k = abs(det), len(adj_n[0])
     gens = [[*[0] * j, 1, *[0] * (k - 1 - j), *col] for j, col in enumerate(zip(*adj_n))]
-    ech = hnf_mod(gens, k + len(adj_n), d)
+    ech = echelon_mod(gens, k + len(adj_n), d)
     lat_det = math.prod(ech[i][i] for i in range(k))
     gcd = d // lat_det
     require(lat_det * gcd == d, "kernel lattice determinant does not divide |det B|", (det, adj_n))

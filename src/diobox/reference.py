@@ -4,12 +4,14 @@
 ``adj(B) N`` and ``adj(B) b`` (see ``lattice`` and ``solver``). The routines
 here answer the same questions the long way: the whole integer solution set
 as a particular solution plus a kernel basis, the projection that drops the
-basis coordinates, the special basis of any square lattice basis, the box
-reduction on a lower-triangular one, the gcd of the maximal minors, the
-exact rational solve of a square system and the deep-cone report from the
-blocks B and N themselves. They stay exported from ``diobox`` because the
-benchmark's traced replay and the tests import them; nothing in the
-package imports this module, so a ``diobox`` process never loads it.
+basis coordinates, the special basis of any square lattice basis (through
+``hnf_mod``, the one place the closing reduction of ``linalg.echelon_mod``'s
+triangular basis runs), the box reduction on a lower-triangular one, the
+gcd of the maximal minors, the exact rational solve of a square system and
+the deep-cone report from the blocks B and N themselves. They stay exported
+from ``diobox`` because the benchmark's traced replay and the tests import
+them; nothing in the package imports this module, so a ``diobox`` process
+never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     require,
 )
 from .lattice import kernel_coset, lift, partition
-from .linalg import IntMat, _adj_mul, _box_sweep, _int_tuple, det_exact, hnf_mod, kernel_echelon
+from .linalg import IntMat, _adj_mul, _box_sweep, _int_tuple, det_exact, echelon_mod, kernel_echelon
 
 
 class AffineLatticeRep(namedtuple("AffineLatticeRep", "particular kernel_basis")):
@@ -56,9 +58,12 @@ def integer_solution_set(mat: IntMat, rhs: Sequence[int]) -> AffineLatticeRep | 
     particular solution together with ``n - m`` kernel basis vectors: the
     ``kernel_coset`` point and basis of L' (the z parts of its first
     ``n - m`` echelon vectors) for the leftmost nonsingular column block B,
-    carried back through ``adj(B)`` by ``lift``. The point lies in the box
-    of that basis, so the particular solution is the ``x`` that ``solve``
-    returns when B is its basis.
+    carried back through ``adj(B)`` by ``lift``. That basis is the folded
+    triangular one ``kernel_echelon`` builds, not reduced left of its
+    pivots; ``special_basis`` of the kernel basis with the basis coordinates
+    dropped gives its reduced form. The point lies in the box of that basis,
+    which depends only on the diagonal, so the particular solution is the
+    ``x`` that ``solve`` returns when B is its basis.
 
     Raises:
         TypeError: if an entry of ``rhs`` is not an ``int`` or is a ``bool``.
@@ -88,6 +93,28 @@ def project_drop_m(vectors: Sequence[Sequence[int]], m: int) -> tuple[tuple[int,
             raise DimensionMismatchError(f"vector {i} has length {len(v)}, need > {m}")
         out.append(tuple(v[m:]))
     return tuple(out)
+
+
+def hnf_mod(
+    gens: Sequence[Sequence[int]], width: int, mod: int
+) -> tuple[tuple[int, ...], ...]:
+    """Reduced lower-triangular basis of ``span(gens) + mod * Z^width``.
+
+    ``linalg.echelon_mod``'s basis, closed by one sweep per vector: vector i
+    then has a positive entry at coordinate i, zeros after it, and entries
+    in ``[0, v_j[j])`` at every coordinate j < i; that basis is unique. The
+    vectors before i span every lattice vector with zeros from coordinate i
+    on, ``mod * Z^i`` among them, so the sweep of ``v_i``'s first i entries
+    into their box stays in the lattice.
+
+    Raises:
+        ValueError: if ``mod`` is not positive.
+        DimensionMismatchError: if a generator does not have ``width`` entries.
+    """
+    piv = [list(v) for v in echelon_mod(gens, width, mod)]
+    for i, v in enumerate(piv):
+        v[:i] = _box_sweep(piv, v[:i], mod)
+    return tuple(map(tuple, piv))
 
 
 class SpecialBasis(namedtuple("SpecialBasis", "vectors")):

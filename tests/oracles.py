@@ -11,8 +11,8 @@ z0 in ``[0, D)`` that it box-reduced before one sweep gave the box point,
 and the lift through
 the residual ``b - N w`` the package ran before it lifted from
 ``adj(B) b``. Nothing imports from the package's internals beyond plain
-data (``IntMat`` and the result records), ``dot``, ``xgcd``, ``hnf_mod``,
-``require`` and its exception types."""
+data (``IntMat`` and the result records), ``dot``, ``xgcd``, the reduced
+``reference.hnf_mod``, ``require`` and its exception types."""
 
 import math
 from fractions import Fraction
@@ -27,8 +27,8 @@ from diobox.errors import (
     require,
 )
 from diobox.lattice import BasisPartition, KernelCoset
-from diobox.linalg import IntMat, dot, hnf_mod, xgcd
-from diobox.reference import AffineLatticeRep, SpecialBasis
+from diobox.linalg import IntMat, dot, xgcd
+from diobox.reference import AffineLatticeRep, SpecialBasis, hnf_mod
 
 
 def det_cofactor(rows):
@@ -414,8 +414,8 @@ def identity(n: int) -> IntMat:
 
 
 def coset_basis(echelon, k: int) -> tuple[tuple[int, ...], ...]:
-    """The special basis of L' that a ``KernelCoset.echelon`` holds: the z
-    parts of its first k vectors, k the number of columns of N."""
+    """The triangular basis of L' that a ``KernelCoset.echelon`` holds: the
+    z parts of its first k vectors, k the number of columns of N."""
     return tuple(v[:k] for v in echelon[:k])
 
 

@@ -36,7 +36,8 @@ from diobox.cone import deep_cone_report
 from diobox.errors import InternalError
 from diobox.gen import push_into_deep_cone
 from diobox.lattice import kernel_coset, lift
-from diobox.linalg import _adj_mul, dot, hnf_mod, kernel_echelon
+from diobox.linalg import _adj_mul, _box_sweep, dot, echelon_mod, kernel_echelon
+from diobox.reference import hnf_mod
 from diobox.solver import conditions
 from brute_force import brute_force_solve
 from oracles import (
@@ -156,7 +157,8 @@ def test_partition_adj_n_is_adj_times_n(case):
     # adj(B) N from the partition's one elimination is exactly the product
     # the old route built, for the leftmost basis (pivots that skip a
     # dependent leading column, and k = 0 for a square A) and for explicit
-    # columns; both routes give the same echelon and gcd
+    # columns; both routes give the same gcd, and the echelon reduces to the
+    # old route's
     rows, cols, dependent = case
     mat = IntMat(rows)
     try:
@@ -172,8 +174,9 @@ def test_partition_adj_n_is_adj_times_n(case):
     n_cols = [part.n_mat.col(j) for j in range(part.n_mat.cols)]
     assert part.adj_n == tuple(tuple(dot(row, col) for col in n_cols) for row in adj)
     got = kernel_echelon(part.det, part.adj_n)
-    assert got == kernel_echelon_product(det, adj, part.n_mat)
-    assert got[1] == minors_gcd(rows)
+    want = kernel_echelon_product(det, adj, part.n_mat)
+    _assert_folded(got[0], abs(det), want[0])
+    assert got[1] == want[1] == minors_gcd(rows)
 
 
 @SETTINGS
@@ -276,6 +279,19 @@ def test_push_into_deep_cone_is_minimal(data):
             assert not deep_cone_condition(b_mat, n_mat, gcd_a, back).facets[i].satisfied
 
 
+def _assert_folded(basis, mod, want=None):
+    # the contract of an echelon_mod basis: lower triangular, a positive
+    # diagonal that divides mod, every entry left of it in [0, mod). With
+    # want, the unique reduced basis of the same lattice (an oracle's): the
+    # same diagonal, and want itself once reduced
+    for i, v in enumerate(basis):
+        assert len(v) == len(basis) and not any(v[i + 1 :])
+        assert v[i] > 0 and mod % v[i] == 0 and all(0 <= e < mod for e in v[:i])
+    if want is not None:
+        assert [v[i] for i, v in enumerate(basis)] == [v[i] for i, v in enumerate(want)]
+        assert hnf_mod(basis, len(basis), mod) == tuple(want)
+
+
 def _hnf_mod_reference(gens, width, mod):
     # the same lattice through hnf_column over the integers, the way
     # special_basis reads a lower-triangular basis off it
@@ -295,6 +311,8 @@ def test_hnf_mod_matches_integer_hnf(data):
     for i, v in enumerate(got):
         assert mod % v[i] == 0 and not any(v[i + 1 :])
         assert all(0 <= v[j] < got[j][j] for j in range(i))
+    # the folding pass alone meets its contract and reduces to the same basis
+    _assert_folded(echelon_mod(gens, width, mod), mod, got)
 
 
 def _record_xgcd(monkeypatch):
@@ -321,6 +339,12 @@ def _record_xgcd(monkeypatch):
         # xgcd(8, 3) leaves the pivot 1, which divides every later entry
         (((3,), (5,), (7,)), 1, 8, [(8, 3)]),
         (((1, 3), (3, 5), (2, 7)), 2, 8, [(8, 3), (8, 4), (4, 5)]),
+        # generators that are zero modulo 8 are dropped before any fold
+        (((8, 16), (1, 2), (0, -8), (3, 6)), 2, 8, [(8, 2), (8, 4)]),
+        # (3, 0) is zero at the last coordinate: it passes on to the first
+        (((3, 0), (1, 2), (3, 6)), 2, 8, [(8, 2), (8, 3)]),
+        # modulo 1 every generator is zero: the basis is the identity
+        (((1, 2), (3, 6)), 2, 1, []),
     ],
 )
 def test_hnf_mod_dividing_pivot_runs_no_xgcd(monkeypatch, gens, width, mod, want_calls):
@@ -360,13 +384,12 @@ def _routes_agree(inst, oracle_gcd=True):
         assert coset.gcd == minors_gcd([list(r) for r in inst.a])
     basis = coset_basis(coset.echelon, inst.a.cols - m)
     assert math.prod(v[i] for i, v in enumerate(basis)) * coset.gcd == d
-    for i, v in enumerate(basis):
-        assert d % v[i] == 0 and all(0 <= e < d for e in v[:i])
+    _assert_folded(basis, d)
     if rep is None:
         return None
     assert all(0 <= e < d for e in coset.point)
     want = special_basis_hnf(project_drop_m(rep.kernel_basis, m))
-    assert basis == want.vectors
+    _assert_folded(basis, d, want.vectors)
     w = box_reduce(want.vectors, rep.particular[m:]).w
     assert coset.point == w
     assert box_reduce(basis, coset.point).w == w
@@ -588,9 +611,9 @@ def coset_cases(draw):
 def test_kernel_coset_matches_z0_search(case):
     # one sweep of (0 ; -adj_b) along the whole echelon against the route it
     # replaced: the search for z0 in [0, D) along the last m echelon vectors,
-    # then the triangular sweep of z0 along L'. Both give the same echelon and
-    # gcd, say infeasible together, and give the same box point (the old
-    # route builds no infeasibility certificate)
+    # then the triangular sweep of z0 along L'. Both give the same gcd, say
+    # infeasible together, and give the same box point (the old route builds
+    # no infeasibility certificate); the echelon reduces to the old route's
     rows, cols, b = case
     mat = IntMat(rows)
     try:
@@ -600,7 +623,8 @@ def test_kernel_coset_matches_z0_search(case):
     adj_b = _adj_mul(part.adj, b)
     coset = kernel_coset(part.det, part.adj_n, adj_b)
     old = kernel_coset_z0(part.det, part.adj, part.n_mat, adj_b)
-    assert (coset.echelon, coset.gcd, coset.point) == (old.echelon, old.gcd, old.point)
+    assert (coset.gcd, coset.point) == (old.gcd, old.point)
+    _assert_folded(coset.echelon, abs(part.det), old.echelon)
     assert (coset.point is None) == (not integer_feasible_minor_test(rows, b))
 
 
@@ -726,6 +750,36 @@ def test_every_infeasible_outcome_carries_a_certificate(case):
     if mat.rows < mat.cols:
         out = solve(ProblemInstance(a=mat, b=b, basis_cols=cols))
         assert (out.status == SolveStatus.INFEASIBLE) == (not feasible)
+
+
+@SETTINGS
+@given(coset_cases())
+@hypothesis.example(([[-6, 4, 9, 15]], None, (7,)))  # feasible, L' basis not reduced
+@hypothesis.example(([[3, 1, 4, 1], [5, 9, 2, 6]], (1, 0), (7, 8)))  # explicit, feasible
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], None, (3, 5)))  # infeasible, not reduced
+@hypothesis.example(([[2, 4, 6, -8], [4, 2, 8, 10]], (2, 3), (3, 5)))  # only T not reduced
+def test_box_point_reads_only_the_diagonal(case):
+    # the sweep of (0 ; -adj_b mod D) over the folded echelon kernel_coset
+    # holds and over its reduced form: the same verdict and the same box
+    # point, since the box depends only on the diagonal; and every
+    # certificate, a column of D T^-1 for the folded T, still verifies
+    rows, cols, b = case
+    mat = IntMat(rows)
+    try:
+        part = partition(mat, cols)
+    except (RankDeficientError, SingularError):
+        return
+    adj_b = _adj_mul(part.adj, b)
+    coset = kernel_coset(part.det, part.adj_n, adj_b)
+    d, k = abs(part.det), mat.cols - mat.rows
+    start = [0] * k + [-x % d for x in adj_b]
+    w = _box_sweep(coset.echelon, start, d)
+    assert _box_sweep(hnf_mod(coset.echelon, len(start), d), start, d) == w
+    if any(w[k:]):
+        assert coset.point is None
+        assert _certifies(rows, b, part, coset.certificate)
+    else:
+        assert coset.point == tuple(w[:k]) and coset.certificate is None
 
 
 def test_certificates_agree_with_brute_force():

@@ -60,20 +60,21 @@ def test_golden_output(name, code, args, monkeypatch):
 
 
 # (_eliminate calls, kernel_echelon calls, adj(B) v products, partitions,
-# box_reduce calls) of one command: the basis partition is the only
-# elimination of B, and adj(B) b is formed once; check and bounds add
+# box_reduce calls, box sweeps) of one command: the basis partition is the
+# only elimination of B, and adj(B) b is formed once; check and bounds add
 # det(A A^T) for the diagnostic bound, gen deep forms adj(B) b for b and for
 # the pushed b, and verify and frobenius build no partition at all. No
-# command box-reduces: kernel_coset's sweep already gives the box point
+# command box-reduces: kernel_coset's sweep already gives the box point, and
+# it is solve's one sweep, since the echelon is left unreduced
 CALLS = {
-    "solve": (1, 1, 1, 1, 0),
-    "check": (2, 1, 1, 1, 0),
-    "bounds": (2, 1, 1, 1, 0),
-    "gen feasible": (1, 0, 0, 1, 0),
-    "gen deep": (1, 1, 2, 1, 0),
-    "gen boundary": (1, 0, 0, 1, 0),
-    "verify": (0, 0, 0, 0, 0),
-    "frobenius": (0, 0, 0, 0, 0),
+    "solve": (1, 1, 1, 1, 0, 1),
+    "check": (2, 1, 1, 1, 0, 0),
+    "bounds": (2, 1, 1, 1, 0, 0),
+    "gen feasible": (1, 0, 0, 1, 0, 0),
+    "gen deep": (1, 1, 2, 1, 0, 0),
+    "gen boundary": (1, 0, 0, 1, 0, 0),
+    "verify": (0, 0, 0, 0, 0, 0),
+    "frobenius": (0, 0, 0, 0, 0, 0),
 }
 
 
@@ -84,7 +85,7 @@ def test_one_partition_per_command(name, code, args, monkeypatch):
     monkeypatch.chdir(ROOT)
     funcs = (
         linalg._eliminate, linalg.kernel_echelon, linalg._adj_mul, lattice.partition,
-        reference.box_reduce,
+        reference.box_reduce, linalg._box_sweep,
     )
     counts = profiled_calls(funcs, lambda: run(args))
     key = f"gen {args[args.index('--mode') + 1]}" if args[0] == "gen" else args[0]

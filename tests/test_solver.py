@@ -266,7 +266,7 @@ def test_boundary_mode_solvable():
 
 
 # solve(), the CLI's solve, check, bounds and gen, and gcd_max_minors work
-# modulo |det B|, and hnf_mod is the package's only Hermite normal form. The
+# modulo |det B|, and echelon_mod is the package's only triangular basis. The
 # last column counts the hnf_column runs of the integer route they replaced
 # (integer_solution_set for feasibility, special_basis for the lattice of a
 # feasible instance), which ``tests/oracles.py`` keeps and the tests below
